@@ -144,6 +144,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[Any, list[str], int]:
         transitive_bound=args.automorphism_bound,
         node_budget=args.node_budget,
         family_budget=args.family_budget,
+        clique_budget=args.clique_budget,
     )
     result = {
         "name": rep.name,
@@ -571,6 +572,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # resolved first, so that a bad budget is an input error whether
+        # or not the command reads it
+        budgets = {
+            "family": family_budget(args.family_budget),
+            "clique": clique_budget(args.clique_budget),
+            "nodes": node_budget(args.node_budget),
+            "automorphism": automorphism_bound(args.automorphism_bound),
+            "lattice_cap": lattice_cap(args.lattice_cap),
+        }
         result, lines, code = args.handler(args)
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: budget exceeded: {exc}\n")
@@ -587,13 +597,7 @@ def main(argv: list[str] | None = None) -> int:
             "command": _command_name(args),
             "input": _input_echo(args),
             "seed": args.seed,
-            "budgets": {
-                "family": family_budget(args.family_budget),
-                "clique": clique_budget(args.clique_budget),
-                "nodes": node_budget(args.node_budget),
-                "automorphism": automorphism_bound(args.automorphism_bound),
-                "lattice_cap": lattice_cap(args.lattice_cap),
-            },
+            "budgets": budgets,
             "result": result,
         }
         sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")

@@ -2,12 +2,15 @@
 
 Every potentially expensive routine takes an optional budget argument;
 when the argument is None the value is read from the environment, falling
-back to the defaults below.  Budgets exist to make non-termination
-impossible, not to be tuned per call site.
+back to the defaults below.  Negative or malformed values are input
+errors.  Budgets exist to make non-termination impossible, not to be tuned
+per call site.
 """
 from __future__ import annotations
 
 import os
+
+from .errors import InputError
 
 DEFAULT_FAMILY_BUDGET = 10_000       # max orthoclosed sets enumerated
 DEFAULT_CLIQUE_BUDGET = 100_000      # max perp-sets enumerated
@@ -16,44 +19,48 @@ DEFAULT_AUTOMORPHISM_BOUND = 10      # max |X| for the transitivity search
 DEFAULT_LATTICE_CAP = 64             # max lattice size accepted
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
+def _resolve(override: int | None, name: str, default: int) -> int:
+    """The override if given, else ORTHOKIT_<name> from the environment,
+    else the default.
+
+    A budget is a non-negative integer; anything else is an input error,
+    so that the budget a report echoes is the one that was enforced.
+    """
+    env = f"ORTHOKIT_{name}"
+    if override is None:
+        raw = os.environ.get(env)
+        if raw is None:
+            return default
+        try:
+            value = int(raw)
+        except ValueError:
+            raise InputError(f"{env}={raw!r} is not an integer") from None
+        source = env
+    else:
+        value, source = override, name.lower().replace("_", " ")
+    if value < 0:
+        raise InputError(f"{source} must be non-negative, got {value}")
+    return value
 
 
 def family_budget(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return _env_int("ORTHOKIT_FAMILY_BUDGET", DEFAULT_FAMILY_BUDGET)
+    return _resolve(override, "FAMILY_BUDGET", DEFAULT_FAMILY_BUDGET)
 
 
 def clique_budget(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return _env_int("ORTHOKIT_CLIQUE_BUDGET", DEFAULT_CLIQUE_BUDGET)
+    return _resolve(override, "CLIQUE_BUDGET", DEFAULT_CLIQUE_BUDGET)
 
 
 def node_budget(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return _env_int("ORTHOKIT_NODE_BUDGET", DEFAULT_NODE_BUDGET)
+    return _resolve(override, "NODE_BUDGET", DEFAULT_NODE_BUDGET)
 
 
 def automorphism_bound(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return _env_int("ORTHOKIT_AUTOMORPHISM_BOUND", DEFAULT_AUTOMORPHISM_BOUND)
+    return _resolve(override, "AUTOMORPHISM_BOUND", DEFAULT_AUTOMORPHISM_BOUND)
 
 
 def lattice_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return _env_int("ORTHOKIT_LATTICE_CAP", DEFAULT_LATTICE_CAP)
+    return _resolve(override, "LATTICE_CAP", DEFAULT_LATTICE_CAP)
 
 
 def snapshot() -> dict[str, int]:

@@ -24,7 +24,7 @@ from .errors import (
     LatticeLawError,
     NotOrthomodularError,
 )
-from .orthoset import Orthoset, Subset, Verdict
+from .orthoset import ClosureTable, Orthoset, Subset, Verdict
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -403,16 +403,9 @@ def orthoclosed_lattice(x: Orthoset, budget: int | None = None,
     Element i of the result is the i-th member of x.orthoclosed_family()
     in canonical order; labels render the member sets.
     """
-    fam = x.orthoclosed_family(budget)
-    pos = {s: i for i, s in enumerate(fam)}
-    labels = [set_label(x, s) for s in fam]
-    up = [0] * len(fam)
-    for i, s in enumerate(fam):
-        for j, t in enumerate(fam):
-            if s <= t:
-                up[i] |= 1 << j
-    ortho = [pos[x.perp(s)] for s in fam]
-    return OrthoLattice(labels, up, ortho, cap=cap)
+    table = ClosureTable(x, x.orthoclosed_family(budget))
+    labels = [set_label(x, s) for s in table.sets]
+    return OrthoLattice(labels, table.up, table.perp, cap=cap)
 
 
 def dacey_criterion(x: Orthoset, family_budget_: int | None = None,

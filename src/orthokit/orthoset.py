@@ -8,6 +8,9 @@ enumeration of the orthoclosed sets, which form a complete ortholattice.
 Subsets are plain frozensets of element indices over a fixed parent
 orthoset.  The canonical order on subsets, used everywhere a deterministic
 enumeration is promised, is (cardinality, lexicographic on sorted indices).
+Predicates that read many closures of one orthoset go through a
+ClosureTable instead: the family indexed by canonical position, with
+subsets held as int masks.
 """
 from __future__ import annotations
 
@@ -383,3 +386,49 @@ class Orthoset:
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.n))
+
+
+class ClosureTable:
+    """The orthoclosed family of one orthoset, addressed by position.
+
+    `family` must be x.orthoclosed_family(): complete and in canonical
+    order.  Positions then agree with the element order of the orthoclosed
+    lattice, and every double perp lands on a member, so closures, perps,
+    joins and inclusions all come back as positions.  Subsets are int masks
+    here (bit i is element i) and are not validated: the table is an
+    internal kernel, the frozenset methods of Orthoset stay the public,
+    checked interface.
+    """
+
+    def __init__(self, x: Orthoset, family: list[Subset]):
+        self.sets: tuple[Subset, ...] = tuple(family)
+        self.masks: tuple[int, ...] = tuple(sum(1 << i for i in s) for s in self.sets)
+        self.index: dict[int, int] = {m: i for i, m in enumerate(self.masks)}
+        self.full = (1 << x.n) - 1
+        self._adj = tuple(sum(1 << j for j in nb) for nb in x.adj)
+        # perp of a member, as a position
+        self.perp: tuple[int, ...] = tuple(self.index[self._perp_mask(m)] for m in self.masks)
+        # up[i] has bit j set iff member i is contained in member j
+        self.up: tuple[int, ...] = tuple(
+            sum(1 << j for j, mj in enumerate(self.masks) if mi & mj == mi)
+            for mi in self.masks
+        )
+
+    def _perp_mask(self, m: int) -> int:
+        """Common orthocomplement of a mask, as a mask."""
+        out = self.full
+        while m and out:
+            low = m & -m
+            out &= self._adj[low.bit_length() - 1]
+            m ^= low
+        return out
+
+    def close(self, m: int) -> int:
+        """Position of the double perp of a mask.  A single perp is already
+        orthoclosed, so the second one is a lookup."""
+        return self.perp[self.index[self._perp_mask(m)]]
+
+    def join(self, i: int, j: int) -> int:
+        """Position of the closure of the union of members i and j: the perp
+        of the meet of their perps, which is an intersection, hence a member."""
+        return self.perp[self.index[self.masks[self.perp[i]] & self.masks[self.perp[j]]]]

@@ -14,7 +14,7 @@ pairs, which verify_refutation re-checks independently of the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .config import node_budget as node_budget_cfg
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     HypothesisViolation,
 )
 from .lattice import OrthoLattice, dacey_criterion, is_orthomodular, oml_to_orthoset, sasaki_projection
-from .orthoset import Orthoset, PropertyReport, Subset, Verdict, subset_key
+from .orthoset import ClosureTable, Orthoset, PropertyReport, Subset, Verdict, subset_key
 
 
 @dataclass
@@ -416,86 +416,64 @@ def finch_report(
             f"not a Sasaki space; first failing target {tuple(x.labels_of(space.first_failure))!r}",
             failure=space.failure,
         )
-    fam = list(space.targets)
-    wit = space.witnesses
-    bar: dict[tuple[Subset, Subset], Subset] = {}
-    for a in fam:
-        for b in fam:
-            bar[(a, b)] = bar_phi(x, wit[a], b)
+    return FinchReport(laws=_finch_laws(x, list(space.targets), space.witnesses))
 
-    def lab(*sets: Subset) -> tuple[tuple[str, ...], ...]:
-        return tuple(x.labels_of(s) for s in sets)
 
-    universe = x.universe
-    laws: dict[str, Verdict] = {}
+def _finch_laws(
+    x: Orthoset,
+    family: list[Subset],
+    witnesses: Mapping[Subset, SasakiMapWitness],
+) -> dict[str, Verdict]:
+    """The five law verdicts, first counterexample in lexicographic order of
+    family positions.
 
-    v = Verdict(True)
-    for a in fam:
-        for b in fam:
-            for c in fam:
-                if b <= c and not bar[(a, b)] <= bar[(a, c)]:
-                    v = Verdict(False, witness=lab(a, b, c))
-                    break
-            if not v.holds:
-                break
-        if not v.holds:
-            break
-    laws["monotone"] = v
+    `family` is x's orthoclosed family in canonical order.  Each induced
+    value bar[a][b] is one mask closure; the law loops are then lookups in
+    the closure table, since every set they name is a member.
+    """
+    t = ClosureTable(x, family)
+    r = range(len(t.sets))
+    up, perp, top = t.up, t.perp, t.index[t.full]
+    bar: list[list[int]] = []
+    for a in r:
+        table = witnesses[t.sets[a]].table
+        aperp = t.sets[perp[a]]
+        # the set of image bits, summed, is the mask of the image
+        bar.append([
+            t.close(sum({1 << table[e] for e in t.sets[b] if e not in aperp}))
+            for b in r
+        ])
+    join = [[t.join(b, c) for c in r] for b in r]
 
-    v = Verdict(True)
-    for a in fam:
-        for b in fam:
-            if not bar[(a, universe)] <= bar[(b, universe)]:
-                continue
-            for c in fam:
-                if bar_phi(x, wit[a], bar[(b, c)]) != bar[(a, c)]:
-                    v = Verdict(False, witness=lab(a, b, c))
-                    break
-            if not v.holds:
-                break
-        if not v.holds:
-            break
-    laws["composition"] = v
+    def first(failures: Iterator[tuple[int, ...]]) -> Verdict:
+        w = next(failures, None)
+        if w is None:
+            return Verdict(True)
+        return Verdict(False, witness=tuple(x.labels_of(t.sets[i]) for i in w))
 
-    v = Verdict(True)
-    for a in fam:
-        for b in fam:
-            if not bar_phi(x, wit[a], x.perp(bar[(a, b)])) <= x.perp(b):
-                v = Verdict(False, witness=lab(a, b))
-                break
-        if not v.holds:
-            break
-    laws["adjoint_bound"] = v
-
-    v = Verdict(True)
-    for a in fam:
-        for b in fam:
-            for c in fam:
-                if (c <= x.perp(bar[(a, b)])) != (bar[(a, c)] <= x.perp(b)):
-                    v = Verdict(False, witness=lab(a, b, c))
-                    break
-            if not v.holds:
-                break
-        if not v.holds:
-            break
-    laws["self_adjoint"] = v
-
-    v = Verdict(True)
-    for a in fam:
-        for b in fam:
-            for c in fam:
-                joined = x.closure(b | c)[0]
-                image_join = x.closure(bar[(a, b)] | bar[(a, c)])[0]
-                if bar_phi(x, wit[a], joined) != image_join:
-                    v = Verdict(False, witness=lab(a, b, c))
-                    break
-            if not v.holds:
-                break
-        if not v.holds:
-            break
-    laws["join_preserving"] = v
-
-    return FinchReport(laws=laws)
+    return {
+        "monotone": first(
+            (a, b, c) for a in r for b in r for c in r
+            if up[b] >> c & 1 and not up[bar[a][b]] >> bar[a][c] & 1
+        ),
+        "composition": first(
+            (a, b, c) for a in r for b in r
+            if up[bar[a][top]] >> bar[b][top] & 1
+            for c in r if bar[a][bar[b][c]] != bar[a][c]
+        ),
+        "adjoint_bound": first(
+            (a, b) for a in r for b in r
+            if not up[bar[a][perp[bar[a][b]]]] >> perp[b] & 1
+        ),
+        "self_adjoint": first(
+            (a, b, c) for a in r for b in r for c in r
+            if (up[c] >> perp[bar[a][b]] & 1) != (up[bar[a][c]] >> perp[b] & 1)
+        ),
+        "join_preserving": first(
+            (a, b, c) for a in r for b in r for c in r
+            if bar[a][join[b][c]] != join[bar[a][b]][bar[a][c]]
+        ),
+    }
 
 
 # --------------------------------------------------------------- formula
@@ -541,10 +519,11 @@ def property_report(
     transitive_bound: int | None = None,
     node_budget: int | None = None,
     family_budget: int | None = None,
+    clique_budget: int | None = None,
 ) -> PropertyReport:
     """Assemble the standard per-orthoset report used by the CLI."""
     naive = is_sasaki_space(x, "naive", node_budget, family_budget)
-    reduced = is_sasaki_space(x, "reduced", node_budget, family_budget)
+    reduced = is_sasaki_space(x, "reduced", node_budget, family_budget, clique_budget)
     try:
         transitive: Verdict | None = x.is_transitive(transitive_bound)
         if transitive is not None and transitive.holds:
@@ -554,10 +533,10 @@ def property_report(
     return PropertyReport(
         name=name,
         n=x.n,
-        rank=x.rank(),
+        rank=x.rank(clique_budget),
         point_closed=x.is_point_closed(),
         irreducible=x.is_irreducible(),
-        dacey=dacey_criterion(x, family_budget_=family_budget),
+        dacey=dacey_criterion(x, family_budget_=family_budget, clique_budget_=clique_budget),
         sasaki_naive=naive.as_verdict(x),
         sasaki_reduced=reduced.as_verdict(x),
         transitive=transitive,

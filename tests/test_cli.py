@@ -110,6 +110,49 @@ def test_tiny_family_budget_exceeds(capsys, tmp_path):
     assert code == 3 and "budget" in err
 
 
+def test_check_enforces_clique_budget(capsys, tmp_path):
+    path = write_payload(tmp_path, "cycle4", "cycle4.json")
+    code, out, err = run(
+        capsys, ["check", path, "--clique-budget", "0", "--format", "json"]
+    )
+    assert code == 3 and "budget" in err and out == ""
+
+
+def test_negative_budget_flag_is_an_input_error(capsys, tmp_path):
+    path = write_payload(tmp_path, "cycle4", "cycle4.json")
+    code, out, err = run(capsys, ["sasaki", path, "--node-budget", "-5"])
+    assert code == 2 and "node budget" in err and out == ""
+
+
+def test_negative_family_budget_is_not_budget_exceeded(capsys, tmp_path):
+    path = write_payload(tmp_path, "two_edges", "two_edges.json")
+    code, _, err = run(capsys, ["finch", path, "--family-budget", "-1"])
+    assert code == 2 and "family budget" in err
+
+
+def test_malformed_env_budget_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("ORTHOKIT_NODE_BUDGET", "abc")
+    code, out, err = run(capsys, ["corpus", "list", "--format", "json"])
+    assert code == 2 and "ORTHOKIT_NODE_BUDGET" in err and out == ""
+
+
+def test_negative_env_budget_is_an_input_error(capsys, monkeypatch, tmp_path):
+    path = write_payload(tmp_path, "cycle4", "cycle4.json")
+    monkeypatch.setenv("ORTHOKIT_CLIQUE_BUDGET", "-3")
+    code, _, err = run(capsys, ["check", path])
+    assert code == 2 and "ORTHOKIT_CLIQUE_BUDGET" in err
+
+
+def test_zero_budget_is_valid(capsys, monkeypatch, tmp_path):
+    path = write_payload(tmp_path, "cycle4", "cycle4.json")
+    monkeypatch.setenv("ORTHOKIT_AUTOMORPHISM_BOUND", "0")
+    code, out, _ = run(capsys, ["check", path, "--format", "json"])
+    assert code == 0
+    doc = envelope_of(out)
+    assert doc["budgets"]["automorphism"] == 0
+    assert doc["result"]["transitive"] is None
+
+
 def test_finch_on_non_sasaki_space_is_a_domain_error(capsys, tmp_path):
     path = write_payload(tmp_path, "path4", "path4.json")
     code, _, err = run(capsys, ["finch", path])

@@ -9,6 +9,7 @@ from orthokit import (
     subset_key,
 )
 from orthokit import corpus
+from orthokit.orthoset import ClosureTable
 
 from oracles import family_by_scan, maximal_cliques_by_scan, perp_by_scan, rank_by_scan
 
@@ -147,6 +148,17 @@ def test_family_is_a_moore_family(x):
         assert x.is_orthoclosed(s)
         for t in fam:
             assert s & t in fam
+
+
+@given(orthosets(max_n=8))
+def test_closure_table_matches_scan_oracles(x):
+    t = ClosureTable(x, x.orthoclosed_family())
+    assert list(t.sets) == family_by_scan(x)
+    for i, s in enumerate(t.sets):
+        assert t.sets[t.perp[i]] == perp_by_scan(x, s)
+    for m in range(1 << x.n):
+        s = frozenset(i for i in range(x.n) if m >> i & 1)
+        assert t.sets[t.close(m)] == perp_by_scan(x, perp_by_scan(x, s))
 
 
 def test_family_budget_enforced():

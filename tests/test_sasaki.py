@@ -23,6 +23,9 @@ from orthokit import (
     verify_refutation,
 )
 from orthokit import corpus
+from orthokit.sasaki import SasakiMapWitness, _finch_laws
+
+from oracles import finch_laws_by_scan
 
 
 def x_of(name):
@@ -306,6 +309,68 @@ def test_finch_laws_hold_on_corpus_sasaki_spaces():
             "monotone", "composition", "adjoint_bound",
             "self_adjoint", "join_preserving",
         }
+
+
+def finch_oracle_spaces():
+    """The corpus Sasaki spaces (complete4 is K4) and the points of MO3 and B3."""
+    out = {name: x_of(name) for name in ("complete3", "complete4", "cycle4", "two_edges")}
+    out["mo3"] = oml_to_orthoset(corpus.mo_lattice(3))
+    out["b3"] = oml_to_orthoset(corpus.boolean_lattice(3))
+    return out
+
+
+def laws_as_pairs(laws):
+    return {k: (v.holds, v.witness) for k, v in laws.items()}
+
+
+def test_finch_laws_match_scan_oracle():
+    for name, x in finch_oracle_spaces().items():
+        space = is_sasaki_space(x)
+        fam = list(space.targets)
+        got = laws_as_pairs(_finch_laws(x, fam, space.witnesses))
+        assert got == finch_laws_by_scan(x, fam, space.witnesses), name
+        assert got == laws_as_pairs(finch_report(x).laws), name
+
+
+def test_finch_laws_match_scan_oracle_on_corrupted_witnesses():
+    """Each corruption moves one value of a non-singleton target to another
+    element of the target.  Composition, adjoint_bound, self_adjoint and
+    join_preserving each fail on some of them, so the failing branches and
+    their first counterexamples are compared too.  Monotone cannot fail
+    for any table: the image of b minus perp(A) only grows with b."""
+    failed = set()
+    for name, x in finch_oracle_spaces().items():
+        space = is_sasaki_space(x)
+        fam = list(space.targets)
+        for a in fam:
+            if len(a) < 2:
+                continue
+            table = space.witnesses[a].table
+            for e in sorted(table):
+                for v in sorted(a - {table[e]}):
+                    witnesses = dict(space.witnesses)
+                    witnesses[a] = SasakiMapWitness(a, {**table, e: v})
+                    got = laws_as_pairs(_finch_laws(x, fam, witnesses))
+                    assert got == finch_laws_by_scan(x, fam, witnesses), (name, a, e, v)
+                    failed |= {law for law, (holds, _) in got.items() if not holds}
+    assert failed == {"composition", "adjoint_bound", "self_adjoint", "join_preserving"}
+
+
+def test_finch_reads_closures_from_the_table(monkeypatch):
+    """Work guard: the law loops make no per-step perp calls, so only the
+    map search touches Orthoset.perp (96 calls here; law loops that
+    recompute a closure per step make about 400,000)."""
+    calls = 0
+    perp = Orthoset.perp
+
+    def counting_perp(self, s):
+        nonlocal calls
+        calls += 1
+        return perp(self, s)
+
+    monkeypatch.setattr(Orthoset, "perp", counting_perp)
+    assert finch_report(corpus.generate("complete_graph", {"n": 5})).ok
+    assert calls < 2_000
 
 
 def test_finch_rejects_non_sasaki_space():
