@@ -24,13 +24,7 @@ import sys
 from typing import Any, Callable
 
 from . import corpus as corpus_mod
-from .config import (
-    automorphism_bound,
-    clique_budget,
-    family_budget,
-    lattice_cap,
-    node_budget,
-)
+from .config import snapshot
 from .errors import BudgetExceededError, InputError, OrthokitError
 from .hermitian import (
     format_vector,
@@ -204,7 +198,7 @@ def _cmd_lattice(args: argparse.Namespace) -> tuple[Any, list[str], int]:
         _verdict_line("covering", cov.covering),
     ]
     if args.roundtrip:
-        rt = roundtrip_check(lat, budget=args.family_budget)
+        rt = roundtrip_check(lat, budget=args.family_budget, cap=args.lattice_cap)
         result["roundtrip"] = {
             "ok": rt.ok,
             "direction": rt.direction,
@@ -574,20 +568,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # resolved first, so that a bad budget is an input error whether
         # or not the command reads it
-        budgets = {
-            "family": family_budget(args.family_budget),
-            "clique": clique_budget(args.clique_budget),
-            "nodes": node_budget(args.node_budget),
-            "automorphism": automorphism_bound(args.automorphism_bound),
-            "lattice_cap": lattice_cap(args.lattice_cap),
-        }
+        budgets = snapshot(
+            family=args.family_budget,
+            clique=args.clique_budget,
+            nodes=args.node_budget,
+            automorphism=args.automorphism_bound,
+            lattice_cap=args.lattice_cap,
+        )
         result, lines, code = args.handler(args)
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: budget exceeded: {exc}\n")
         return 3
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except OrthokitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

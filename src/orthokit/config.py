@@ -63,12 +63,16 @@ def lattice_cap(override: int | None = None) -> int:
     return _resolve(override, "LATTICE_CAP", DEFAULT_LATTICE_CAP)
 
 
-def snapshot() -> dict[str, int]:
-    """Resolved budget values, for inclusion in report headers."""
+def snapshot(*, family: int | None = None, clique: int | None = None,
+             nodes: int | None = None, automorphism: int | None = None,
+             lattice_cap: int | None = None) -> dict[str, int]:
+    """Resolved budget values, for inclusion in report headers; each
+    keyword is an override, resolved as by its getter above."""
     return {
-        "family": family_budget(),
-        "clique": clique_budget(),
-        "nodes": node_budget(),
-        "automorphism": automorphism_bound(),
-        "lattice_cap": lattice_cap(),
+        "family": family_budget(family),
+        "clique": clique_budget(clique),
+        "nodes": node_budget(nodes),
+        "automorphism": automorphism_bound(automorphism),
+        # the keyword shadows the lattice_cap getter
+        "lattice_cap": _resolve(lattice_cap, "LATTICE_CAP", DEFAULT_LATTICE_CAP),
     }

@@ -214,6 +214,8 @@ def _kernel(rows: Sequence[Sequence[Scalar]], ncols: int, zero: Scalar, one: Sca
         for r, p in enumerate(pivots):
             vec[p] = zero - reduced[r][f]
         basis.append(vec)
+    # not redundant: the kernel of x0 + x1 = 0 is built as [-1, 1], its
+    # reduced form is [1, -1], and subspaces compare by reduced rows
     reduced_basis, _ = _rref(basis, zero)
     return reduced_basis
 
@@ -226,27 +228,6 @@ def _solve(a: list[list[Scalar]], b: list[Scalar], zero: Scalar) -> list[Scalar]
     if pivots != list(range(n)):
         raise InputError("singular system in exact solve")
     return [reduced[i][n] for i in range(n)]
-
-
-def _det(mat: list[list[Fraction]]) -> Fraction:
-    """Determinant of a rational matrix by fraction-free row elimination."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        sel = next((i for i in range(c, n) if m[i][c]), -1)
-        if sel < 0:
-            return Fraction(0)
-        if sel != c:
-            m[c], m[sel] = m[sel], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                factor = m[i][c] / inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-    return det
 
 
 # ------------------------------------------------------------------- spaces
@@ -314,12 +295,21 @@ def _sylvester(gram: list[list[Scalar]], field: str) -> None:
         b = [[gram[i][j].im for j in range(n)] for i in range(n)]  # type: ignore[union-attr]
         real = [a[i] + b[i] for i in range(n)]
         real += [[-b[i][j] for j in range(n)] + a[i] for i in range(n)]
-    for k in range(1, len(real) + 1):
-        minor = _det([row[:k] for row in real[:k]])
+    # Elimination without row swaps keeps every leading principal minor,
+    # so minor k is the product of the first k pivots.  The pass stops at
+    # the first minor that is not positive, so every pivot it divides by
+    # is nonzero.
+    minor = Fraction(1)
+    for k in range(len(real)):
+        minor *= real[k][k]
         if minor <= 0:
             raise AnisotropyError(
-                f"leading principal minor {k} of the (realified) gram is {minor}, not positive"
+                f"leading principal minor {k + 1} of the (realified) gram is {minor}, not positive"
             )
+        for i in range(k + 1, len(real)):
+            if real[i][k]:
+                factor = real[i][k] / real[k][k]
+                real[i] = [a - factor * b for a, b in zip(real[i], real[k])]
 
 
 def parse_vector(entries: Sequence[Any], space: HermitianSpace) -> Vector:

@@ -14,8 +14,9 @@ covering/basic-elements biconditional, and Hasse-diagram DOT export.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .config import lattice_cap
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     LatticeLawError,
     NotOrthomodularError,
 )
-from .orthoset import ClosureTable, Orthoset, Subset, Verdict
+from .orthoset import ClosureTable, Orthoset, Subset, Verdict, first_counterexample
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -242,6 +243,19 @@ def is_orthomodular(lat: OrthoLattice) -> Verdict:
     return Verdict(True)
 
 
+def _require_orthomodular(lat: OrthoLattice, message: str) -> None:
+    """Raise NotOrthomodularError, with the failing pair, unless lat is
+    orthomodular."""
+    om = is_orthomodular(lat)
+    if not om.holds:
+        raise NotOrthomodularError(f"{message}; witness {om.witness!r}")
+
+
+def _labelled(lat: OrthoLattice) -> Callable[[tuple[int, ...]], tuple[str, ...]]:
+    """Witness render for first_counterexample: elements to their labels."""
+    return lambda w: tuple(lat.labels[i] for i in w)
+
+
 @dataclass
 class CoveringReport:
     atoms: tuple[str, ...]
@@ -252,31 +266,23 @@ class CoveringReport:
 def atoms_and_covering(lat: OrthoLattice) -> CoveringReport:
     """Atoms, atomisticity, and the covering property with witnesses."""
     atom_set = lat.atoms
-    atomistic = Verdict(True)
-    for x in range(lat.n):
-        acc = lat.bottom
-        for a in atom_set:
-            if lat.leq(a, x):
-                acc = lat.join(acc, a)
-        if acc != x:
-            atomistic = Verdict(False, witness=lat.labels[x])
-            break
-    covering: Verdict = Verdict(True)
-    for x in range(lat.n):
-        for a in atom_set:
-            if lat.meet(a, x) != lat.bottom:
-                continue
-            z = lat.join(x, a)
-            if not lat.covers(x, z):
-                blocker = next(
-                    w for w in _bits(lat.up[x] & lat.down[z]) if w != x and w != z
-                )
-                covering = Verdict(
-                    False, witness=(lat.labels[x], lat.labels[a], lat.labels[blocker])
-                )
-                break
-        if not covering.holds:
-            break
+    atomistic = first_counterexample(
+        ((x,) for x in range(lat.n)
+         if reduce(lat.join, (a for a in atom_set if lat.leq(a, x)), lat.bottom) != x),
+        lambda w: lat.labels[w[0]],
+    )
+
+    def with_blocker(w: tuple[int, ...]) -> tuple[str, ...]:
+        x, a = w
+        z = lat.join(x, a)
+        blocker = next(v for v in _bits(lat.up[x] & lat.down[z]) if v != x and v != z)
+        return (lat.labels[x], lat.labels[a], lat.labels[blocker])
+
+    covering = first_counterexample(
+        ((x, a) for x in range(lat.n) for a in atom_set
+         if lat.meet(a, x) == lat.bottom and not lat.covers(x, lat.join(x, a))),
+        with_blocker,
+    )
     return CoveringReport(
         atoms=tuple(lat.labels[a] for a in atom_set),
         atomistic=atomistic,
@@ -307,63 +313,36 @@ def projection_facts(lat: OrthoLattice) -> dict[str, Verdict]:
     orthomodular law, so running this on anything else only rediscovers
     the failure.
     """
-    om = is_orthomodular(lat)
-    if not om.holds:
-        raise NotOrthomodularError(
-            f"projection facts assume an orthomodular lattice; witness {om.witness!r}"
-        )
-
-    def orth(u: int, v: int) -> bool:
-        return lat.leq(u, lat.ortho[v])
-
-    facts: dict[str, Verdict] = {}
-    v = Verdict(True)
-    for x in range(lat.n):
-        for y in range(lat.n):
-            if lat.leq(y, x) != (sasaki_projection(lat, x, y) == y):
-                v = Verdict(False, witness=(lat.labels[x], lat.labels[y]))
-                break
-        if not v.holds:
-            break
-    facts["a_fixed_points"] = v
-
-    v = Verdict(True)
-    for x in range(lat.n):
-        for y in range(lat.n):
-            inner = lat.ortho[sasaki_projection(lat, x, lat.ortho[y])]
-            if not lat.leq(sasaki_projection(lat, x, inner), y):
-                v = Verdict(False, witness=(lat.labels[x], lat.labels[y]))
-                break
-        if not v.holds:
-            break
-    facts["b_adjoint_bound"] = v
-
-    v = Verdict(True)
-    for x in range(lat.n):
-        for y in range(lat.n):
-            if (sasaki_projection(lat, x, y) == lat.bottom) != lat.leq(y, lat.ortho[x]):
-                v = Verdict(False, witness=(lat.labels[x], lat.labels[y]))
-                break
-        if not v.holds:
-            break
-    facts["c_kernel"] = v
-
-    v = Verdict(True)
-    for x in range(lat.n):
-        for y in range(lat.n):
-            py = sasaki_projection(lat, x, y)
-            for z in range(lat.n):
-                if orth(py, z) != orth(y, sasaki_projection(lat, x, z)):
-                    v = Verdict(
-                        False, witness=(lat.labels[x], lat.labels[y], lat.labels[z])
-                    )
-                    break
-            if not v.holds:
-                break
-        if not v.holds:
-            break
-    facts["d_self_adjoint"] = v
-    return facts
+    _require_orthomodular(lat, "projection facts assume an orthomodular lattice")
+    r = range(lat.n)
+    up, ortho = lat.up, lat.ortho
+    render = _labelled(lat)
+    # u is orthogonal to v iff up[u] >> ortho[v] & 1; in (d) pi_x(y) is
+    # computed once per (x, y), outside the z loop
+    return {
+        "a_fixed_points": first_counterexample(
+            ((x, y) for x in r for y in r
+             if (up[y] >> x & 1) != (sasaki_projection(lat, x, y) == y)),
+            render,
+        ),
+        "b_adjoint_bound": first_counterexample(
+            ((x, y) for x in r for y in r
+             for inner in (ortho[sasaki_projection(lat, x, ortho[y])],)
+             if not up[sasaki_projection(lat, x, inner)] >> y & 1),
+            render,
+        ),
+        "c_kernel": first_counterexample(
+            ((x, y) for x in r for y in r
+             if (sasaki_projection(lat, x, y) == lat.bottom) != (up[y] >> ortho[x] & 1)),
+            render,
+        ),
+        "d_self_adjoint": first_counterexample(
+            ((x, y, z) for x in r for y in r
+             for py in (sasaki_projection(lat, x, y),) for z in r
+             if (up[py] >> ortho[z] & 1) != (up[y] >> ortho[sasaki_projection(lat, x, z)] & 1)),
+            render,
+        ),
+    }
 
 
 # ------------------------------------------------------------------ bridges
@@ -393,7 +372,12 @@ def atoms_to_orthoset(lat: OrthoLattice) -> Orthoset:
 
 
 def set_label(x: Orthoset, s: Subset) -> str:
-    return "{" + ",".join(x.labels[i] for i in sorted(s)) + "}"
+    """Braced, comma-separated labels in index order.  A backslash or a
+    comma inside a label is escaped with a backslash, so that distinct
+    sets never share a rendering."""
+    return "{" + ",".join(
+        x.labels[i].replace("\\", "\\\\").replace(",", "\\,") for i in sorted(s)
+    ) + "}"
 
 
 def orthoclosed_lattice(x: Orthoset, budget: int | None = None,
@@ -403,7 +387,10 @@ def orthoclosed_lattice(x: Orthoset, budget: int | None = None,
     Element i of the result is the i-th member of x.orthoclosed_family()
     in canonical order; labels render the member sets.
     """
-    table = ClosureTable(x, x.orthoclosed_family(budget))
+    return _table_lattice(x, ClosureTable(x, x.orthoclosed_family(budget)), cap)
+
+
+def _table_lattice(x: Orthoset, table: ClosureTable, cap: int | None) -> OrthoLattice:
     labels = [set_label(x, s) for s in table.sets]
     return OrthoLattice(labels, table.up, table.perp, cap=cap)
 
@@ -524,22 +511,24 @@ class RoundtripResult:
     detail: str | None = None
 
 
-def roundtrip_check(obj: Orthoset | OrthoLattice, budget: int | None = None) -> RoundtripResult:
+def roundtrip_check(obj: Orthoset | OrthoLattice, budget: int | None = None,
+                    cap: int | None = None) -> RoundtripResult:
+    """`budget` bounds the orthoclosed family and `cap` the lattice built
+    from it, as in orthoclosed_lattice."""
     if isinstance(obj, Orthoset):
-        return _roundtrip_orthoset(obj, budget)
+        return _roundtrip_orthoset(obj, budget, cap)
     if isinstance(obj, OrthoLattice):
-        return _roundtrip_lattice(obj, budget)
+        return _roundtrip_lattice(obj, budget, cap)
     raise InputError("roundtrip_check expects an Orthoset or an OrthoLattice")
 
 
-def _roundtrip_orthoset(x: Orthoset, budget: int | None) -> RoundtripResult:
+def _roundtrip_orthoset(x: Orthoset, budget: int | None, cap: int | None) -> RoundtripResult:
     pc = x.is_point_closed()
     if not pc.holds:
         return RoundtripResult(False, "orthoset", hypothesis_failure=("point-closed", pc.witness))
-    lat = orthoclosed_lattice(x, budget)
-    fam = x.orthoclosed_family(budget)
-    pos = {s: i for i, s in enumerate(fam)}
-    table = [pos[frozenset((e,))] for e in range(x.n)]
+    closed = ClosureTable(x, x.orthoclosed_family(budget))
+    lat = _table_lattice(x, closed, cap)
+    table = [closed.index[1 << e] for e in range(x.n)]
     if sorted(table) != sorted(lat.atoms):
         return RoundtripResult(False, "orthoset", detail="singletons do not exhaust the atoms")
     for e in range(x.n):
@@ -555,25 +544,24 @@ def _roundtrip_orthoset(x: Orthoset, budget: int | None) -> RoundtripResult:
     return RoundtripResult(True, "orthoset", mapping=mapping)
 
 
-def _roundtrip_lattice(lat: OrthoLattice, budget: int | None) -> RoundtripResult:
+def _roundtrip_lattice(lat: OrthoLattice, budget: int | None, cap: int | None) -> RoundtripResult:
     rep = atoms_and_covering(lat)
     if not rep.atomistic.holds:
         return RoundtripResult(
             False, "lattice", hypothesis_failure=("atomistic", rep.atomistic.witness)
         )
     x = atoms_to_orthoset(lat)
-    fam = x.orthoclosed_family(budget)
-    pos = {s: i for i, s in enumerate(fam)}
-    produced = orthoclosed_lattice(x, budget)
+    closed = ClosureTable(x, x.orthoclosed_family(budget))
+    produced = _table_lattice(x, closed, cap)
     table: list[int] = []
     for p in range(lat.n):
-        below = frozenset(k for k, a in enumerate(lat.atoms) if lat.leq(a, p))
-        if below not in pos:
+        below = sum(1 << k for k, a in enumerate(lat.atoms) if lat.leq(a, p))
+        if below not in closed.index:
             return RoundtripResult(
                 False, "lattice",
                 detail=f"atom set of {lat.labels[p]!r} is not orthoclosed",
             )
-        table.append(pos[below])
+        table.append(closed.index[below])
     verdict = check_lattice_iso(lat, produced, tuple(table))
     if not verdict.holds:
         return RoundtripResult(False, "lattice", detail=f"not an isomorphism: {verdict.witness!r}")
@@ -600,19 +588,13 @@ def wilce_check(lat: OrthoLattice) -> WilceReport:
     Input must be orthomodular; the two sides are computed independently
     and reported together with witnesses.
     """
-    om = is_orthomodular(lat)
-    if not om.holds:
-        raise NotOrthomodularError(f"wilce_check requires an orthomodular lattice; witness {om.witness!r}")
+    _require_orthomodular(lat, "wilce_check requires an orthomodular lattice")
     covering = atoms_and_covering(lat).covering
-    basic: Verdict = Verdict(True)
-    for x in range(lat.n):
-        for a in lat.atoms:
-            p = sasaki_projection(lat, x, a)
-            if not is_basic(lat, p):
-                basic = Verdict(False, witness=(lat.labels[x], lat.labels[a], lat.labels[p]))
-                break
-        if not basic.holds:
-            break
+    basic = first_counterexample(
+        ((x, a, p) for x in range(lat.n) for a in lat.atoms
+         for p in (sasaki_projection(lat, x, a),) if not is_basic(lat, p)),
+        _labelled(lat),
+    )
     return WilceReport(covering=covering, basic_to_basic=basic)
 
 

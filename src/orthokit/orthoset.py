@@ -15,7 +15,7 @@ subsets held as int masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .config import automorphism_bound, clique_budget, family_budget
 from .errors import BudgetExceededError, InputError, InvalidSubsetError
@@ -43,6 +43,18 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.holds
+
+
+def first_counterexample(
+    failures: Iterator[tuple[Any, ...]], render: Callable[[tuple[Any, ...]], Any]
+) -> Verdict:
+    """Verdict of a universal claim from its counterexamples in scan order:
+    it holds when there are none, else the first one, rendered, is the
+    witness.  Only the first is drawn from the iterator."""
+    w = next(failures, None)
+    if w is None:
+        return Verdict(True)
+    return Verdict(False, witness=render(w))
 
 
 @dataclass

@@ -14,20 +14,19 @@ pairs, which verify_refutation re-checks independently of the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from .config import node_budget as node_budget_cfg
 from .errors import (
     BudgetExceededError,
     MapDomainError,
     NotOrthoclosedError,
-    NotOrthomodularError,
     NotPrincipalError,
     NotSasakiSpaceError,
     HypothesisViolation,
 )
-from .lattice import OrthoLattice, dacey_criterion, is_orthomodular, oml_to_orthoset, sasaki_projection
-from .orthoset import ClosureTable, Orthoset, PropertyReport, Subset, Verdict, subset_key
+from .lattice import OrthoLattice, _require_orthomodular, dacey_criterion, oml_to_orthoset, sasaki_projection
+from .orthoset import ClosureTable, Orthoset, PropertyReport, Subset, Verdict, first_counterexample, subset_key
 
 
 @dataclass
@@ -337,11 +336,7 @@ def sasaki_from_oml(lat: OrthoLattice, a: Subset, x: Orthoset | None = None) -> 
     Sasaki projection to its generator, restricted and corestricted.  The
     produced witness is certified before being returned.
     """
-    om = is_orthomodular(lat)
-    if not om.holds:
-        raise NotOrthomodularError(
-            f"sasaki_from_oml requires an orthomodular lattice; witness {om.witness!r}"
-        )
+    _require_orthomodular(lat, "sasaki_from_oml requires an orthomodular lattice")
     if x is None:
         x = oml_to_orthoset(lat)
     x._check(a)
@@ -445,33 +440,35 @@ def _finch_laws(
         ])
     join = [[t.join(b, c) for c in r] for b in r]
 
-    def first(failures: Iterator[tuple[int, ...]]) -> Verdict:
-        w = next(failures, None)
-        if w is None:
-            return Verdict(True)
-        return Verdict(False, witness=tuple(x.labels_of(t.sets[i]) for i in w))
+    def render(w: tuple[int, ...]) -> tuple[tuple[str, ...], ...]:
+        return tuple(x.labels_of(t.sets[i]) for i in w)
 
     return {
-        "monotone": first(
-            (a, b, c) for a in r for b in r for c in r
-            if up[b] >> c & 1 and not up[bar[a][b]] >> bar[a][c] & 1
+        "monotone": first_counterexample(
+            ((a, b, c) for a in r for b in r for c in r
+             if up[b] >> c & 1 and not up[bar[a][b]] >> bar[a][c] & 1),
+            render,
         ),
-        "composition": first(
-            (a, b, c) for a in r for b in r
-            if up[bar[a][top]] >> bar[b][top] & 1
-            for c in r if bar[a][bar[b][c]] != bar[a][c]
+        "composition": first_counterexample(
+            ((a, b, c) for a in r for b in r
+             if up[bar[a][top]] >> bar[b][top] & 1
+             for c in r if bar[a][bar[b][c]] != bar[a][c]),
+            render,
         ),
-        "adjoint_bound": first(
-            (a, b) for a in r for b in r
-            if not up[bar[a][perp[bar[a][b]]]] >> perp[b] & 1
+        "adjoint_bound": first_counterexample(
+            ((a, b) for a in r for b in r
+             if not up[bar[a][perp[bar[a][b]]]] >> perp[b] & 1),
+            render,
         ),
-        "self_adjoint": first(
-            (a, b, c) for a in r for b in r for c in r
-            if (up[c] >> perp[bar[a][b]] & 1) != (up[bar[a][c]] >> perp[b] & 1)
+        "self_adjoint": first_counterexample(
+            ((a, b, c) for a in r for b in r for c in r
+             if (up[c] >> perp[bar[a][b]] & 1) != (up[bar[a][c]] >> perp[b] & 1)),
+            render,
         ),
-        "join_preserving": first(
-            (a, b, c) for a in r for b in r for c in r
-            if bar[a][join[b][c]] != join[bar[a][b]][bar[a][c]]
+        "join_preserving": first_counterexample(
+            ((a, b, c) for a in r for b in r for c in r
+             if bar[a][join[b][c]] != join[bar[a][b]][bar[a][c]]),
+            render,
         ),
     }
 

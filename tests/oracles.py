@@ -101,3 +101,67 @@ def finch_laws_by_scan(x: Orthoset, family: list[Subset], witnesses) -> dict:
             if bar(a, close(b | c)) != close(bar(a, b) | bar(a, c))
         ),
     }
+
+
+def _order_scan(lat):
+    """Order matrix, bottom, atoms, and least upper / greatest lower bounds
+    of pairs, all read off lat.leq alone."""
+    n = range(lat.n)
+    le = [[lat.leq(i, j) for j in n] for i in n]
+    bottom = next(i for i in n if all(le[i]))
+    atoms = [
+        a for a in n
+        if a != bottom and not any(b not in (bottom, a) and le[b][a] for b in n)
+    ]
+
+    def lub(elems):
+        ups = [k for k in n if all(le[e][k] for e in elems)]
+        return next(k for k in ups if all(le[k][u] for u in ups))
+
+    def glb(elems):
+        downs = [k for k in n if all(le[k][e] for e in elems)]
+        return next(k for k in downs if all(le[d][k] for d in downs))
+
+    return le, bottom, atoms, lub, glb
+
+
+def covering_by_scan(lat):
+    """Atomisticity and the covering property, each as (holds, first
+    witness), from the order relation alone.  Atomistic: every x is the
+    least upper bound of the atoms below it (witness: the label of the
+    first x that is not).  Covering: for every x and atom a not below x,
+    x v a covers x (witness: labels of the first such x and a and of the
+    first element strictly between x and x v a)."""
+    le, bottom, atoms, lub, _ = _order_scan(lat)
+    n = range(lat.n)
+    atomistic = (True, None)
+    for x in n:
+        if lub([a for a in atoms if le[a][x]]) != x:
+            atomistic = (False, lat.labels[x])
+            break
+    covering = (True, None)
+    for x in n:
+        for a in atoms:
+            if le[a][x]:
+                continue
+            z = lub([x, a])
+            between = [w for w in n if w not in (x, z) and le[x][w] and le[w][z]]
+            if between:
+                covering = (False, (lat.labels[x], lat.labels[a], lat.labels[between[0]]))
+                break
+        if not covering[0]:
+            break
+    return atomistic, covering
+
+
+def basic_to_basic_by_scan(lat):
+    """Whether every Sasaki projection x ^ (x' v a) of an atom a is an atom
+    or the bottom, as (holds, labels of the first x, a and projection),
+    with meets and joins taken from the order relation alone."""
+    _, bottom, atoms, lub, glb = _order_scan(lat)
+    for x in range(lat.n):
+        for a in atoms:
+            p = glb([x, lub([lat.ortho[x], a])])
+            if p != bottom and p not in atoms:
+                return (False, (lat.labels[x], lat.labels[a], lat.labels[p]))
+    return (True, None)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import jsonschema
 
-from orthokit import cli, corpus
+from orthokit import Orthoset, cli, corpus, snapshot
 
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schema"
@@ -68,6 +68,15 @@ def test_budget_flags_are_echoed_in_envelope(capsys, tmp_path):
     )
     assert code == 0
     assert envelope_of(out)["budgets"]["family"] == 77
+    # every flag at once: the envelope is the resolved snapshot
+    flags = {"family": 77, "clique": 500, "nodes": 9000, "automorphism": 4, "lattice_cap": 70}
+    code, out, _ = run(capsys, [
+        "check", path, "--format", "json", "--family-budget", "77",
+        "--clique-budget", "500", "--node-budget", "9000",
+        "--automorphism-bound", "4", "--lattice-cap", "70",
+    ])
+    assert code == 0
+    assert envelope_of(out)["budgets"] == flags == snapshot(**flags)
 
 
 def test_output_is_byte_identical_across_runs(capsys, tmp_path):
@@ -291,6 +300,37 @@ def test_lattice_roundtrip_flag(capsys, tmp_path):
     assert code == 0
     result = envelope_of(out)["result"]
     assert result["roundtrip"]["ok"] is True
+
+
+def test_lattice_roundtrip_honours_lattice_cap(capsys, monkeypatch, tmp_path):
+    # MO32 has 66 elements, two above the default cap
+    monkeypatch.setenv("ORTHOKIT_LATTICE_CAP", "70")
+    doc = corpus.mo_lattice(32).to_json("mo32")
+    monkeypatch.delenv("ORTHOKIT_LATTICE_CAP")
+    path = tmp_path / "mo32.json"
+    path.write_text(json.dumps(doc))
+    argv = ["lattice", str(path), "--lattice-cap", "70", "--format", "json"]
+    code, _, err = run(capsys, argv)
+    assert code == 0, err
+    code, out, err = run(capsys, argv + ["--roundtrip"])
+    assert code == 0, err
+    assert envelope_of(out)["result"]["roundtrip"]["ok"] is True
+
+
+def test_comma_in_label_keeps_set_labels_distinct(capsys, tmp_path):
+    x = Orthoset.build(["a", "b", "a,b"], [("a", "b"), ("a", "a,b"), ("b", "a,b")])
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps(x.to_json("comma")))
+    code, _, err = run(capsys, ["check", str(path)])
+    assert code == 0, err
+    code, out, err = run(capsys, ["lattice", str(path), "--format", "json"])
+    assert code == 0, err
+    assert envelope_of(out)["result"]["size"] == 8
+    code, out, err = run(capsys, ["sasaki", str(path), "--witnesses", "--format", "json"])
+    assert code == 0, err
+    result = envelope_of(out)["result"]
+    assert result["is_sasaki"] is True
+    assert len(result["witnesses"]) == result["targets"] == 8
 
 
 def test_check_reads_stdin(capsys, monkeypatch):

@@ -26,6 +26,8 @@ from orthokit import (
 )
 from orthokit import corpus
 
+from oracles import basic_to_basic_by_scan, covering_by_scan
+
 
 def lat_of(name):
     return corpus.get(name).build()
@@ -246,6 +248,25 @@ def test_wilce_golden():
         assert rep.covering.holds and rep.basic_to_basic.holds and rep.agree
 
 
+@given(orthosets(max_n=6))
+def test_covering_matches_scan_oracle(x):
+    rep = atoms_and_covering(orthoclosed_lattice(x))
+    atomistic, covering = covering_by_scan(orthoclosed_lattice(x))
+    assert (rep.atomistic.holds, rep.atomistic.witness) == atomistic
+    assert (rep.covering.holds, rep.covering.witness) == covering
+
+
+def test_wilce_witnesses_match_scan_oracle_on_horizontal_sums():
+    for m in range(2, 5):
+        for n in range(m, 5):
+            lat = corpus.horizontal_sum(corpus.boolean_lattice(m), corpus.boolean_lattice(n))
+            rep = wilce_check(lat)
+            basic = (rep.basic_to_basic.holds, rep.basic_to_basic.witness)
+            assert basic == basic_to_basic_by_scan(lat), (m, n)
+            assert (rep.covering.holds, rep.covering.witness) == covering_by_scan(lat)[1]
+            assert rep.agree
+
+
 def test_wilce_requires_orthomodularity():
     with pytest.raises(NotOrthomodularError):
         wilce_check(lat_of("benzene"))
@@ -292,6 +313,21 @@ def test_roundtrip_lattice_side():
     assert rt.hypothesis_failure[0] == "atomistic"
 
 
+def test_roundtrip_enumerates_the_family_once(monkeypatch):
+    calls = []
+    enumerate_family = Orthoset.orthoclosed_family
+
+    def counted(self, budget=None):
+        calls.append(self.n)
+        return enumerate_family(self, budget)
+
+    monkeypatch.setattr(Orthoset, "orthoclosed_family", counted)
+    for obj in (corpus.get("horizontal_sum_atoms").build(), lat_of("horizontal_sum_lattice")):
+        calls.clear()
+        assert roundtrip_check(obj).ok
+        assert len(calls) == 1
+
+
 @given(orthosets(max_n=5))
 def test_roundtrip_holds_for_every_point_closed_orthoset(x):
     if x.is_point_closed().holds:
@@ -332,3 +368,16 @@ def test_set_label_format():
     x = corpus.get("path4").build()
     assert set_label(x, x.subset(["a", "c"])) == "{a,c}"
     assert set_label(x, frozenset()) == "{}"
+    y = Orthoset.build(["a", "b", "a,b", "c\\"], [])
+    assert set_label(y, y.subset(["a", "b"])) == "{a,b}"
+    assert set_label(y, y.subset(["a,b"])) == "{a\\,b}"
+    assert set_label(y, y.subset(["a", "c\\"])) == "{a,c\\\\}"
+
+
+def test_comma_in_label_keeps_lattice_labels_distinct():
+    # {a,b} and {"a,b"} are both orthoclosed here; with one label for the
+    # two, the lattice would reject a duplicate element label
+    x = Orthoset.build(["a", "b", "a,b"], [("a", "b"), ("a", "a,b"), ("b", "a,b")])
+    lat = orthoclosed_lattice(x)
+    assert len(set(lat.labels)) == lat.n == 8
+    assert is_dacey(x, via="lattice").holds == is_dacey(x, via="criterion").holds
