@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Any, Callable
 
@@ -36,9 +37,7 @@ from .hermitian import (
     subspace,
 )
 from .lattice import (
-    atoms_and_covering,
     build_lattice,
-    is_orthomodular,
     lattice_to_dot,
     oml_to_orthoset,
     orthoclosed_lattice,
@@ -124,7 +123,11 @@ def _orthoset_arg(args: argparse.Namespace) -> Orthoset:
 
 
 def _split_labels(raw: str) -> list[str]:
-    return [part for part in raw.split(",") if part]
+    """Comma-separated labels; inside a label, `\\,` is a comma and `\\\\` a
+    backslash, as set_label writes them."""
+    if not re.fullmatch(r"(?:[^\\]|\\[\\,])*", raw):
+        raise InputError(f"in {raw!r}, a backslash must escape ',' or '\\'")
+    return [re.sub(r"\\(.)", r"\1", part) for part in re.findall(r"(?:[^\\,]|\\[\\,])+", raw)]
 
 
 # ------------------------------------------------------------------ handlers
@@ -179,8 +182,8 @@ def _cmd_lattice(args: argparse.Namespace) -> tuple[Any, list[str], int]:
             return {"dot": dot}, [dot.rstrip("\n")], 0
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
-    om = is_orthomodular(lat)
-    cov = atoms_and_covering(lat)
+    om = lat.orthomodular
+    cov = lat.covering_report
     result: dict[str, Any] = {
         "source": source,
         "size": lat.n,
@@ -321,7 +324,7 @@ def _cmd_oml(args: argparse.Namespace) -> tuple[Any, list[str], int]:
             f"  {json.dumps(witness.to_json(x)['map'])}",
         ]
         return result, lines, 0
-    om = is_orthomodular(lat)
+    om = lat.orthomodular
     result = {"orthomodular": _jsonable(om)}
     lines = [_verdict_line("orthomodular", om)]
     if om.holds:
@@ -349,7 +352,10 @@ def _cmd_finch(args: argparse.Namespace) -> tuple[Any, list[str], int]:
 
 def _cmd_hermitian(args: argparse.Namespace) -> tuple[Any, list[str], int]:
     if args.action == "fuzz":
-        dims = tuple(int(d) for d in _split_labels(args.dims))
+        try:
+            dims = tuple(int(d) for d in _split_labels(args.dims))
+        except ValueError:
+            raise InputError(f"--dims must list integers, got {args.dims!r}") from None
         if not dims:
             raise InputError("--dims must name at least one dimension")
         rep = fuzz_hermitian(args.field, args.count, seed=args.seed, dims=dims)
@@ -437,7 +443,7 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[Any, list[str], int]:
         raise InputError(f"--params is not valid JSON: {exc}") from None
     if not isinstance(params, dict):
         raise InputError("--params must be a JSON object")
-    obj = corpus_mod.generate(args.kind, params, seed=args.seed)
+    obj = corpus_mod.generate(args.kind, params, seed=args.seed, cap=args.lattice_cap)
     doc = obj.to_json(name=args.kind)
     return doc, [json.dumps(doc, indent=2, sort_keys=True)], 0
 
@@ -482,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sasaki", help="Sasaki map search on an orthoset file")
     p.add_argument("file")
     p.add_argument("--target", default=None,
-                   help="comma-separated labels of one orthoclosed target")
+                   help="comma-separated labels of one orthoclosed target "
+                   "(in a label, \\, is a comma and \\\\ a backslash)")
     p.add_argument("--mode", choices=("naive", "reduced"), default="naive")
     p.add_argument("--count", action="store_true",
                    help="count maps to --target up to --limit")
@@ -497,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--project", default=None, metavar="X",
                    help="print the Sasaki projection table onto element X")
     p.add_argument("--induced", default=None, metavar="LABELS",
-                   help="induced point map onto the principal set with these elements")
+                   help="induced point map onto the principal set with these "
+                   "comma-separated elements, escaped as in --target")
     _add_common(p)
     p.set_defaults(handler=_cmd_oml)
 

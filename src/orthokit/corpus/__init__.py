@@ -13,14 +13,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Callable, Mapping
 
-from ..errors import FixtureError, InputError
-from ..lattice import (
-    OrthoLattice,
-    atoms_and_covering,
-    build_lattice,
-    is_dacey,
-    is_orthomodular,
-)
+from ..config import lattice_cap
+from ..errors import BudgetExceededError, FixtureError, InputError
+from ..lattice import OrthoLattice, build_lattice, is_dacey
 from ..orthoset import Orthoset
 from ..sasaki import is_sasaki_space
 
@@ -101,10 +96,21 @@ def _boolean_labels(n: int) -> tuple[list[str], list[str]]:
     return labels, atoms
 
 
-def boolean_lattice(n: int) -> OrthoLattice:
+def _check_size(size: int, cap: int | None) -> None:
+    """Refuse, before building, a lattice the cap would refuse once built."""
+    if size > lattice_cap(cap):
+        raise BudgetExceededError(f"lattice size {size} exceeds cap of {lattice_cap(cap)}")
+
+
+def boolean_lattice(n: int, cap: int | None = None) -> OrthoLattice:
     """The powerset of n atoms as an ortholattice (complement as ortho)."""
     if n < 0:
         raise InputError("boolean lattice needs n >= 0")
+    # 2^n > cap iff n >= cap.bit_length(); 2^n itself may be too big to form
+    if n >= lattice_cap(cap).bit_length():
+        raise BudgetExceededError(
+            f"lattice size 2^{n} exceeds cap of {lattice_cap(cap)}"
+        )
     labels, _ = _boolean_labels(n)
     size = 1 << n
     full = size - 1
@@ -116,13 +122,14 @@ def boolean_lattice(n: int) -> OrthoLattice:
                 bits |= 1 << other
         up.append(bits)
     ortho = [full ^ mask for mask in range(size)]
-    return OrthoLattice(labels, up, ortho)
+    return OrthoLattice(labels, up, ortho, cap=cap)
 
 
-def mo_lattice(n: int) -> OrthoLattice:
+def mo_lattice(n: int, cap: int | None = None) -> OrthoLattice:
     """MO_n: n complemented atom pairs with no other comparabilities."""
     if n < 1:
         raise InputError("mo_n needs n >= 1")
+    _check_size(2 * n + 2, cap)
     labels = ["0"]
     for i in range(n):
         stem = "abcdefgh"[i] if n <= 8 else f"x{i + 1}"
@@ -142,14 +149,16 @@ def mo_lattice(n: int) -> OrthoLattice:
     for i in range(n):
         ortho += [2 + 2 * i, 1 + 2 * i]
     ortho.append(0)
-    return OrthoLattice(labels, up, ortho)
+    return OrthoLattice(labels, up, ortho, cap=cap)
 
 
-def horizontal_sum(left: OrthoLattice, right: OrthoLattice) -> OrthoLattice:
+def horizontal_sum(left: OrthoLattice, right: OrthoLattice,
+                   cap: int | None = None) -> OrthoLattice:
     """Glue two ortholattices at their bounds; no other comparabilities.
 
     Proper elements keep their labels behind 'l.' and 'r.' prefixes.
     """
+    _check_size(2 + sum(lat.n - len({lat.bottom, lat.top}) for lat in (left, right)), cap)
     out_labels = ["0"]
     blocks: list[tuple[str, OrthoLattice]] = [("l", left), ("r", right)]
     position: dict[tuple[str, int], int] = {}
@@ -186,7 +195,7 @@ def horizontal_sum(left: OrthoLattice, right: OrthoLattice) -> OrthoLattice:
                     "horizontal sum needs proper elements with proper orthocomplements"
                 )
             ortho[me] = position[(prefix, o)]
-    return OrthoLattice(out_labels, up, ortho)
+    return OrthoLattice(out_labels, up, ortho, cap=cap)
 
 
 def random_orthoset(n: int, p: float, seed: int) -> Orthoset:
@@ -206,30 +215,38 @@ def random_orthoset(n: int, p: float, seed: int) -> Orthoset:
     return Orthoset.build(labels, pairs)
 
 
-def generate(kind: str, params: Mapping[str, Any], seed: int = 0) -> Orthoset | OrthoLattice:
-    """Build a corpus object from a generator name and parameter mapping."""
+def _number(kind: type, key: str, raw: Any) -> Any:
+    """Generator parameter `key` converted by `kind` (int or float)."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"generator parameter {key!r} must be a number, got {raw!r}") from None
+
+
+def generate(kind: str, params: Mapping[str, Any], seed: int = 0,
+             cap: int | None = None) -> Orthoset | OrthoLattice:
+    """Build a corpus object from a generator name and parameter mapping;
+    `cap` bounds the size of a generated lattice, as in OrthoLattice."""
     params = dict(params)
     try:
         if kind == "complete_graph":
-            n = int(params.pop("n"))
+            n = _number(int, "n", params.pop("n"))
             labels = [f"x{i + 1}" for i in range(n)]
             pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
             out: Orthoset | OrthoLattice = Orthoset.build(labels, pairs)
         elif kind == "boolean":
-            out = boolean_lattice(int(params.pop("n")))
+            out = boolean_lattice(_number(int, "n", params.pop("n")), cap)
         elif kind == "mo_n":
-            out = mo_lattice(int(params.pop("n")))
+            out = mo_lattice(_number(int, "n", params.pop("n")), cap)
         elif kind == "random_orthoset":
-            out = random_orthoset(
-                int(params.pop("n")), float(params.pop("p", 0.4)), seed
-            )
+            n = _number(int, "n", params.pop("n"))
+            out = random_orthoset(n, _number(float, "p", params.pop("p", 0.4)), seed)
         elif kind == "horizontal_sum":
             ranks = params.pop("ranks")
             if not isinstance(ranks, (list, tuple)) or len(ranks) != 2:
                 raise InputError("horizontal_sum needs 'ranks': [m, n]")
-            out = horizontal_sum(
-                boolean_lattice(int(ranks[0])), boolean_lattice(int(ranks[1]))
-            )
+            m, n = (_number(int, "ranks", r) for r in ranks)
+            out = horizontal_sum(boolean_lattice(m, cap), boolean_lattice(n, cap), cap)
         else:
             raise InputError(
                 f"unknown generator {kind!r}; known: complete_graph, boolean, "
@@ -269,9 +286,9 @@ ORTHOSET_CHECKS: dict[str, Callable[[Orthoset], Any]] = {
 
 LATTICE_CHECKS: dict[str, Callable[[OrthoLattice], Any]] = {
     "size": lambda lat: lat.n,
-    "orthomodular": lambda lat: is_orthomodular(lat).holds,
-    "atomistic": lambda lat: atoms_and_covering(lat).atomistic.holds,
-    "covering": lambda lat: atoms_and_covering(lat).covering.holds,
+    "orthomodular": lambda lat: lat.orthomodular.holds,
+    "atomistic": lambda lat: lat.covering_report.atomistic.holds,
+    "covering": lambda lat: lat.covering_report.covering.holds,
     "atoms": lambda lat: [lat.labels[a] for a in lat.atoms],
 }
 

@@ -177,7 +177,7 @@ def _one(field: str) -> Scalar:
 # ------------------------------------------------------- exact linear algebra
 
 
-def _rref(rows: Sequence[Sequence[Scalar]], zero: Scalar) -> tuple[list[list[Scalar]], list[int]]:
+def _rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form; returns nonzero rows and pivot columns."""
     mat = [list(r) for r in rows]
     if not mat:
@@ -205,7 +205,7 @@ def _rref(rows: Sequence[Sequence[Scalar]], zero: Scalar) -> tuple[list[list[Sca
 
 def _kernel(rows: Sequence[Sequence[Scalar]], ncols: int, zero: Scalar, one: Scalar) -> list[list[Scalar]]:
     """Canonical basis of {x : sum_i x_i row_i = 0 for every row}."""
-    reduced, pivots = _rref(rows, zero)
+    reduced, pivots = _rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[list[Scalar]] = []
     for f in free:
@@ -216,15 +216,15 @@ def _kernel(rows: Sequence[Sequence[Scalar]], ncols: int, zero: Scalar, one: Sca
         basis.append(vec)
     # not redundant: the kernel of x0 + x1 = 0 is built as [-1, 1], its
     # reduced form is [1, -1], and subspaces compare by reduced rows
-    reduced_basis, _ = _rref(basis, zero)
+    reduced_basis, _ = _rref(basis)
     return reduced_basis
 
 
-def _solve(a: list[list[Scalar]], b: list[Scalar], zero: Scalar) -> list[Scalar]:
+def _solve(a: list[list[Scalar]], b: list[Scalar]) -> list[Scalar]:
     """Unique solution of a square exact system (raises if singular)."""
     n = len(a)
     aug = [list(a[i]) + [b[i]] for i in range(n)]
-    reduced, pivots = _rref(aug, zero)
+    reduced, pivots = _rref(aug)
     if pivots != list(range(n)):
         raise InputError("singular system in exact solve")
     return [reduced[i][n] for i in range(n)]
@@ -359,7 +359,7 @@ class Subspace:
 
 def subspace(space: HermitianSpace, vectors: Sequence[Sequence[Any]]) -> Subspace:
     parsed = [parse_vector(v, space) for v in vectors]
-    reduced, _ = _rref(parsed, _zero(space.field))
+    reduced, _ = _rref(parsed)
     return Subspace(space, tuple(tuple(r) for r in reduced))
 
 
@@ -377,13 +377,13 @@ def full_subspace(space: HermitianSpace) -> Subspace:
 
 
 def contains(sub: Subspace, vec: Vector) -> bool:
-    stacked, _ = _rref(list(sub.basis) + [list(vec)], _zero(sub.space.field))
+    stacked, _ = _rref(list(sub.basis) + [list(vec)])
     return len(stacked) == sub.dim
 
 
 def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
     _same_space(a, b)
-    reduced, _ = _rref(list(a.basis) + list(b.basis), _zero(a.space.field))
+    reduced, _ = _rref(list(a.basis) + list(b.basis))
     return Subspace(a.space, tuple(tuple(r) for r in reduced))
 
 
@@ -398,9 +398,9 @@ def intersect_subspaces(a: Subspace, b: Subspace) -> Subspace:
         block.append(list(row) + list(row))
     for row in b.basis:
         block.append(list(row) + [zero] * n)
-    reduced, _ = _rref(block, zero)
+    reduced, _ = _rref(block)
     right = [row[n:] for row in reduced if not any(row[:n])]
-    final, _ = _rref(right, zero)
+    final, _ = _rref(right)
     return Subspace(space, tuple(tuple(r) for r in final))
 
 
@@ -434,12 +434,11 @@ def project(space: HermitianSpace, sub: Subspace, vec: Vector) -> Vector:
         raise DimensionMismatchError("vector length does not match the space dimension")
     if sub.dim == 0:
         return space.zero_vector()
-    zero = _zero(space.field)
     k = sub.dim
     # sum_k t_k inner(b_k, b_m) = inner(vec, b_m) for every m
     a = [[inner(space, sub.basis[kk], sub.basis[m]) for kk in range(k)] for m in range(k)]
     rhs = [inner(space, vec, sub.basis[m]) for m in range(k)]
-    t = _solve(a, rhs, zero)
+    t = _solve(a, rhs)
     out = list(space.zero_vector())
     for kk in range(k):
         if t[kk]:
@@ -465,7 +464,7 @@ def line(space: HermitianSpace, vec: Sequence[Any]) -> Line:
         v = parse_vector(vec, space)
     if not any(v):
         raise InputError("the zero vector spans no line")
-    reduced, _ = _rref([list(v)], _zero(space.field))
+    reduced, _ = _rref([list(v)])
     return Line(space, tuple(reduced[0]))
 
 
@@ -583,6 +582,8 @@ def fuzz_hermitian(field: str, count: int, seed: int = 0,
     sasaki_line routes, and the Sasaki conditions on a sampled line family.
     """
     _check_field(field)
+    if count < 0:
+        raise InputError(f"fuzz instance count must be non-negative, got {count}")
     checks = {
         "form_symmetry": 0,
         "double_perp": 0,

@@ -14,7 +14,7 @@ covering/basic-elements biconditional, and Hasse-diagram DOT export.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Any, Callable, Iterable
 
@@ -38,7 +38,8 @@ def _bits(mask: int) -> Iterable[int]:
 
 
 class OrthoLattice:
-    """Validated finite ortholattice with cached meet/join tables."""
+    """Validated finite ortholattice with meet/join tables; its heights and
+    its orthomodular and covering verdicts are computed once, on first use."""
 
     def __init__(self, labels: Iterable[str], up: Iterable[int], ortho: Iterable[int],
                  cap: int | None = None):
@@ -83,9 +84,25 @@ class OrthoLattice:
         self.down: tuple[int, ...] = tuple(down_l)
 
         self.n = n
-        self.meet_t, self.join_t = self._build_tables()
-        self.bottom = self._fold(self.meet_t)
-        self.top = self._fold(self.join_t)
+        # down-sets (and up-sets) are distinct once antisymmetry holds, so
+        # each names its element; a meet or join is one lookup
+        by_down = {d: k for k, d in enumerate(self.down)}
+        by_up = {u: k for k, u in enumerate(self.up)}
+        meet_rows: list[tuple[int, ...]] = []
+        join_rows: list[tuple[int, ...]] = []
+        for i in range(n):
+            mrow = tuple(by_down.get(self.down[i] & d, -1) for d in self.down)
+            jrow = tuple(by_up.get(self.up[i] & u, -1) for u in self.up)
+            if -1 in mrow or -1 in jrow:
+                j = next(j for j in range(n) if mrow[j] < 0 or jrow[j] < 0)
+                law = "no-meet" if mrow[j] < 0 else "no-join"
+                raise LatticeLawError(law, (self.labels[i], self.labels[j]))
+            meet_rows.append(mrow)
+            join_rows.append(jrow)
+        self.meet_t = tuple(meet_rows)
+        self.join_t = tuple(join_rows)
+        self.bottom = by_up[full]
+        self.top = by_down[full]
 
         ortho_l = tuple(ortho)
         if len(ortho_l) != n or any(not 0 <= o < n for o in ortho_l):
@@ -108,36 +125,6 @@ class OrthoLattice:
             i for i in range(n)
             if i != self.bottom and self.down[i] == (1 << self.bottom) | (1 << i)
         )
-
-    # ------------------------------------------------------------ internals
-
-    def _build_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        n = self.n
-        meet_rows: list[tuple[int, ...]] = []
-        join_rows: list[tuple[int, ...]] = []
-        for i in range(n):
-            mrow = []
-            jrow = []
-            for j in range(n):
-                lower = self.down[i] & self.down[j]
-                m = next((k for k in _bits(lower) if self.down[k] == lower), -1)
-                if m < 0:
-                    raise LatticeLawError("no-meet", (self.labels[i], self.labels[j]))
-                mrow.append(m)
-                upper = self.up[i] & self.up[j]
-                jv = next((k for k in _bits(upper) if self.up[k] == upper), -1)
-                if jv < 0:
-                    raise LatticeLawError("no-join", (self.labels[i], self.labels[j]))
-                jrow.append(jv)
-            meet_rows.append(tuple(mrow))
-            join_rows.append(tuple(jrow))
-        return tuple(meet_rows), tuple(join_rows)
-
-    def _fold(self, table: tuple[tuple[int, ...], ...]) -> int:
-        acc = 0
-        for i in range(1, self.n):
-            acc = table[acc][i]
-        return acc
 
     # -------------------------------------------------------------- queries
 
@@ -168,13 +155,26 @@ class OrthoLattice:
 
     def height(self, i: int) -> int:
         """Length of a longest chain from bottom to i."""
-        order = sorted(range(self.n), key=lambda k: bin(self.down[k]).count("1"))
-        h = {self.bottom: 0}
-        for k in order:
-            if k == self.bottom:
-                continue
-            h[k] = 1 + max(h[p] for p in _bits(self.down[k]) if p != k and p in h)
-        return h[i]
+        return self.heights[i]
+
+    @cached_property
+    def heights(self) -> tuple[int, ...]:
+        h = [0] * self.n
+        # each element comes after every element strictly below it
+        for k in sorted(range(self.n), key=lambda k: bin(self.down[k]).count("1")):
+            if k != self.bottom:
+                h[k] = 1 + max(h[p] for p in _bits(self.down[k]) if p != k)
+        return tuple(h)
+
+    @cached_property
+    def orthomodular(self) -> Verdict:
+        """is_orthomodular(self), computed once."""
+        return is_orthomodular(self)
+
+    @cached_property
+    def covering_report(self) -> CoveringReport:
+        """atoms_and_covering(self), computed once."""
+        return atoms_and_covering(self)
 
     def to_json(self, name: str = "lattice") -> dict[str, Any]:
         pairs = sorted([self.labels[i], self.labels[j]] for i, j in self.cover_pairs())
@@ -246,7 +246,7 @@ def is_orthomodular(lat: OrthoLattice) -> Verdict:
 def _require_orthomodular(lat: OrthoLattice, message: str) -> None:
     """Raise NotOrthomodularError, with the failing pair, unless lat is
     orthomodular."""
-    om = is_orthomodular(lat)
+    om = lat.orthomodular
     if not om.holds:
         raise NotOrthomodularError(f"{message}; witness {om.witness!r}")
 
@@ -316,30 +316,27 @@ def projection_facts(lat: OrthoLattice) -> dict[str, Verdict]:
     _require_orthomodular(lat, "projection facts assume an orthomodular lattice")
     r = range(lat.n)
     up, ortho = lat.up, lat.ortho
+    pi = [[sasaki_projection(lat, x, y) for y in r] for x in r]
     render = _labelled(lat)
-    # u is orthogonal to v iff up[u] >> ortho[v] & 1; in (d) pi_x(y) is
-    # computed once per (x, y), outside the z loop
+    # u is orthogonal to v iff up[u] >> ortho[v] & 1
     return {
         "a_fixed_points": first_counterexample(
-            ((x, y) for x in r for y in r
-             if (up[y] >> x & 1) != (sasaki_projection(lat, x, y) == y)),
+            ((x, y) for x in r for y in r if (up[y] >> x & 1) != (pi[x][y] == y)),
             render,
         ),
         "b_adjoint_bound": first_counterexample(
             ((x, y) for x in r for y in r
-             for inner in (ortho[sasaki_projection(lat, x, ortho[y])],)
-             if not up[sasaki_projection(lat, x, inner)] >> y & 1),
+             if not up[pi[x][ortho[pi[x][ortho[y]]]]] >> y & 1),
             render,
         ),
         "c_kernel": first_counterexample(
             ((x, y) for x in r for y in r
-             if (sasaki_projection(lat, x, y) == lat.bottom) != (up[y] >> ortho[x] & 1)),
+             if (pi[x][y] == lat.bottom) != (up[y] >> ortho[x] & 1)),
             render,
         ),
         "d_self_adjoint": first_counterexample(
-            ((x, y, z) for x in r for y in r
-             for py in (sasaki_projection(lat, x, y),) for z in r
-             if (up[py] >> ortho[z] & 1) != (up[y] >> ortho[sasaki_projection(lat, x, z)] & 1)),
+            ((x, y, z) for x in r for y in r for z in r
+             if (up[pi[x][y]] >> ortho[z] & 1) != (up[y] >> ortho[pi[x][z]] & 1)),
             render,
         ),
     }
@@ -545,7 +542,7 @@ def _roundtrip_orthoset(x: Orthoset, budget: int | None, cap: int | None) -> Rou
 
 
 def _roundtrip_lattice(lat: OrthoLattice, budget: int | None, cap: int | None) -> RoundtripResult:
-    rep = atoms_and_covering(lat)
+    rep = lat.covering_report
     if not rep.atomistic.holds:
         return RoundtripResult(
             False, "lattice", hypothesis_failure=("atomistic", rep.atomistic.witness)
@@ -589,7 +586,7 @@ def wilce_check(lat: OrthoLattice) -> WilceReport:
     and reported together with witnesses.
     """
     _require_orthomodular(lat, "wilce_check requires an orthomodular lattice")
-    covering = atoms_and_covering(lat).covering
+    covering = lat.covering_report.covering
     basic = first_counterexample(
         ((x, a, p) for x in range(lat.n) for a in lat.atoms
          for p in (sasaki_projection(lat, x, a),) if not is_basic(lat, p)),
@@ -609,7 +606,7 @@ def lattice_to_dot(lat: OrthoLattice, name: str = "lattice") -> str:
     """Hasse diagram in DOT: cover edges only, rank groups by height,
     atoms emphasised, orthocomplement pairs annotated with dashed edges."""
     lines = [f"digraph {_dot_quote(name)} {{", "  rankdir=BT;", "  node [shape=box];"]
-    heights = [lat.height(i) for i in range(lat.n)]
+    heights = lat.heights
     for i in range(lat.n):
         attrs = []
         if i in lat.atoms:

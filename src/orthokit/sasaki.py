@@ -19,6 +19,7 @@ from typing import Any, Mapping
 from .config import node_budget as node_budget_cfg
 from .errors import (
     BudgetExceededError,
+    InputError,
     MapDomainError,
     NotOrthoclosedError,
     NotPrincipalError,
@@ -189,6 +190,8 @@ def find_sasaki_map(x: Orthoset, a: Subset, budget: int | None = None) -> Sasaki
 def count_sasaki_maps(x: Orthoset, a: Subset, limit: int = 2,
                       budget: int | None = None) -> list[SasakiMapWitness]:
     """Up to `limit` Sasaki maps in lexicographic order (uniqueness checks)."""
+    if limit < 1:
+        raise InputError(f"map count limit must be at least 1, got {limit}")
     _require_orthoclosed(x, a)
     found, _, _, _ = _enumerate_maps(
         x, a, node_budget_cfg(budget), limit=limit, want_trace=False

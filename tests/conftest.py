@@ -1,4 +1,7 @@
+import sys
+
 import hypothesis
+import pytest
 
 # The whole suite must be reproducible run to run; derandomize pins the
 # hypothesis example stream to the test function itself.
@@ -9,3 +12,24 @@ hypothesis.settings.register_profile(
     deadline=None,
 )
 hypothesis.settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps the function module.name in every
+    orthokit module that binds it, the imports by name included, and returns
+    the list that receives the arguments of each call."""
+    def install(module, name):
+        original = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "orthokit" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return install

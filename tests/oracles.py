@@ -165,3 +165,26 @@ def basic_to_basic_by_scan(lat):
             if p != bottom and p not in atoms:
                 return (False, (lat.labels[x], lat.labels[a], lat.labels[p]))
     return (True, None)
+
+
+def meet_join_by_scan(lat):
+    """Meet and join tables, bottom, top, and the height of each element
+    (the length of a longest chain up to it from the bottom), all read off
+    lat.leq alone."""
+    le, bottom, _, lub, glb = _order_scan(lat)
+    n = range(lat.n)
+    top = next(i for i in n if all(le[j][i] for j in n))
+    heights: dict = {}
+
+    def height(x):
+        if x not in heights:
+            heights[x] = max((1 + height(y) for y in n if y != x and le[y][x]), default=0)
+        return heights[x]
+
+    return {
+        "meet": [[glb([i, j]) for j in n] for i in n],
+        "join": [[lub([i, j]) for j in n] for i in n],
+        "bottom": bottom,
+        "top": top,
+        "heights": [height(x) for x in n],
+    }

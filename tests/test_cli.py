@@ -10,7 +10,7 @@ from pathlib import Path
 
 import jsonschema
 
-from orthokit import Orthoset, cli, corpus, snapshot
+from orthokit import Orthoset, cli, corpus, lattice, snapshot
 
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schema"
@@ -222,6 +222,24 @@ def test_sasaki_count_reports_multiplicity(capsys, tmp_path):
     assert result["count"] == 2 and len(result["maps"]) == 2
 
 
+def test_sasaki_count_zero_limit_is_an_input_error(capsys, tmp_path):
+    path = write_payload(tmp_path, "two_edges", "two_edges.json")
+    code, out, err = run(capsys, ["sasaki", path, "--target", "a", "--count", "--limit", "0"])
+    assert code == 2 and "limit" in err and out == ""
+
+
+def test_target_labels_take_comma_escapes(capsys, tmp_path):
+    x = Orthoset.build(["a", "b", "a,b"], [("a", "b"), ("a", "a,b"), ("b", "a,b")])
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps(x.to_json("comma")))
+    for target, named in (("a\\,b", ["a,b"]), ("a,b", ["a", "b"])):
+        code, out, err = run(capsys, ["sasaki", str(path), "--target", target, "--format", "json"])
+        assert code == 0, err
+        assert envelope_of(out)["result"]["target"] == named
+    code, out, err = run(capsys, ["sasaki", str(path), "--target", "a\\"])
+    assert code == 2 and "backslash" in err and out == ""
+
+
 def test_oml_projection_table_golden(capsys, tmp_path):
     path = write_payload(tmp_path, "mo2", "mo2.json")
     code, out, _ = run(
@@ -266,6 +284,15 @@ def test_oml_induced_map_golden(capsys, tmp_path):
     assert induced["map"] == {"a": "a", "b": "a", "b'": "a", "1": "a"}
 
 
+def test_oml_scans_orthomodularity_once(capsys, tmp_path, count_calls):
+    # once for the verdict, not again for projection_facts and wilce_check
+    calls = count_calls(lattice, "is_orthomodular")
+    path = write_payload(tmp_path, "mo2", "mo2.json")
+    code, _, err = run(capsys, ["oml", path])
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 def test_oml_rejects_orthoset_document(capsys, tmp_path):
     path = write_payload(tmp_path, "path4", "path4.json")
     code, _, err = run(capsys, ["oml", path])
@@ -300,6 +327,15 @@ def test_lattice_roundtrip_flag(capsys, tmp_path):
     assert code == 0
     result = envelope_of(out)["result"]
     assert result["roundtrip"]["ok"] is True
+
+
+def test_lattice_roundtrip_scans_covering_once(capsys, tmp_path, count_calls):
+    # the report and the atomistic hypothesis of the round trip share one scan
+    calls = count_calls(lattice, "atoms_and_covering")
+    path = write_payload(tmp_path, "mo2", "mo2_lat.json")
+    code, _, err = run(capsys, ["lattice", path, "--roundtrip"])
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 def test_lattice_roundtrip_honours_lattice_cap(capsys, monkeypatch, tmp_path):
@@ -393,6 +429,29 @@ def test_corpus_generate_rejects_bad_params(capsys):
     assert code == 2
 
 
+def test_corpus_generate_non_integer_param_is_an_input_error(capsys):
+    argv = ["corpus", "generate", "complete_graph", "--params", '{"n": "abc"}']
+    code, out, err = run(capsys, argv)
+    assert code == 2 and "'n'" in err and out == ""
+
+
+def test_corpus_generate_non_numeric_probability_is_an_input_error(capsys):
+    argv = ["corpus", "generate", "random_orthoset", "--params", '{"n": 4, "p": "x"}']
+    code, out, err = run(capsys, argv)
+    assert code == 2 and "'p'" in err and out == ""
+
+
+def test_corpus_generate_honours_lattice_cap(capsys):
+    argv = ["corpus", "generate", "boolean", "--params", '{"n": 7}', "--format", "json"]
+    code, _, err = run(capsys, argv)
+    assert code == 3 and "cap of 64" in err
+    code, out, err = run(capsys, argv + ["--lattice-cap", "200"])
+    assert code == 0, err
+    doc = envelope_of(out)
+    assert doc["budgets"]["lattice_cap"] == 200
+    assert len(doc["result"]["elements"]) == 128
+
+
 # --------------------------------------------------------------- hermitian
 
 
@@ -432,3 +491,13 @@ def test_hermitian_fuzz_smoke(capsys):
     result = envelope_of(out)["result"]
     assert result["ok"] is True and result["instances"] == 10
     assert envelope_of(out)["command"] == "hermitian.fuzz"
+
+
+def test_hermitian_fuzz_non_integer_dims_is_an_input_error(capsys):
+    code, out, err = run(capsys, ["hermitian", "fuzz", "--field", "Q", "--dims", "a"])
+    assert code == 2 and "--dims" in err and out == ""
+
+
+def test_hermitian_fuzz_negative_count_is_an_input_error(capsys):
+    code, out, err = run(capsys, ["hermitian", "fuzz", "--field", "Q", "--count", "-3"])
+    assert code == 2 and "count" in err and out == ""

@@ -5,7 +5,7 @@
 
 import pytest
 
-from orthokit import FixtureError, InputError, find_lattice_iso
+from orthokit import BudgetExceededError, FixtureError, InputError, find_lattice_iso
 from orthokit import corpus
 
 
@@ -126,6 +126,24 @@ def test_horizontal_sum_rejects_pathological_summand():
     two_chain = corpus.boolean_lattice(1)  # just 0 and 1
     lat = corpus.horizontal_sum(two_chain, corpus.boolean_lattice(2))
     assert lat.n == 4  # nothing proper on the left to glue in
+
+
+def test_lattice_generators_check_the_cap_before_building(monkeypatch):
+    b5, b6 = corpus.boolean_lattice(5), corpus.boolean_lattice(6)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oversized lattice was being built")
+
+    monkeypatch.setattr(corpus, "_boolean_labels", unreachable)
+    monkeypatch.setattr(corpus, "OrthoLattice", unreachable)
+    for build in (
+        lambda: corpus.boolean_lattice(40),  # 2^40 elements
+        lambda: corpus.mo_lattice(40),  # 82 elements
+        lambda: corpus.horizontal_sum(b5, b6),  # 2 + 30 + 62 elements
+        lambda: corpus.generate("boolean", {"n": 7}, cap=100),
+    ):
+        with pytest.raises(BudgetExceededError):
+            build()
 
 
 def test_random_orthoset_is_seed_deterministic():

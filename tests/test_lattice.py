@@ -24,9 +24,9 @@ from orthokit import (
     set_label,
     wilce_check,
 )
-from orthokit import corpus
+from orthokit import corpus, lattice
 
-from oracles import basic_to_basic_by_scan, covering_by_scan
+from oracles import basic_to_basic_by_scan, covering_by_scan, meet_join_by_scan
 
 
 def lat_of(name):
@@ -88,14 +88,27 @@ def test_ortho_complement_violation_rejected():
 
 
 def test_missing_meet_rejected():
+    # two minimal elements, no bottom: not a lattice
+    doc = {
+        "elements": ["x", "y", "1"],
+        "leq": [["x", "1"], ["y", "1"]],
+        "ortho": {"x": "y", "y": "x", "1": "1"},
+    }
+    with pytest.raises(LatticeLawError) as err:
+        build_lattice(doc)
+    assert (err.value.law, err.value.witness) == ("no-meet", ("x", "y"))
+
+
+def test_missing_join_rejected():
     # two maximal elements, no top: not a lattice
     doc = {
         "elements": ["0", "x", "y"],
         "leq": [["0", "x"], ["0", "y"]],
         "ortho": {"0": "0", "x": "y", "y": "x"},
     }
-    with pytest.raises(LatticeLawError):
+    with pytest.raises(LatticeLawError) as err:
         build_lattice(doc)
+    assert (err.value.law, err.value.witness) == ("no-join", ("x", "y"))
 
 
 def test_lattice_cap_enforced():
@@ -123,6 +136,30 @@ def test_meet_join_against_downsets():
                     assert lat.leq(k, m)
                 if lat.leq(i, k) and lat.leq(j, k):
                     assert lat.leq(jn, k)
+
+
+def assert_tables_match_scan(lat):
+    scan = meet_join_by_scan(lat)
+    assert [list(row) for row in lat.meet_t] == scan["meet"]
+    assert [list(row) for row in lat.join_t] == scan["join"]
+    assert (lat.bottom, lat.top) == (scan["bottom"], scan["top"])
+    assert [lat.height(i) for i in range(lat.n)] == scan["heights"]
+
+
+def test_tables_match_scan_oracle_on_generated_lattices():
+    lats = [corpus.boolean_lattice(n) for n in range(1, 6)]
+    lats += [corpus.mo_lattice(n) for n in range(1, 21)]
+    lats += [
+        corpus.horizontal_sum(corpus.boolean_lattice(m), corpus.boolean_lattice(n))
+        for n in range(1, 4) for m in range(1, n + 1)
+    ]
+    for lat in lats:
+        assert_tables_match_scan(lat)
+
+
+@given(orthosets(max_n=6))
+def test_tables_match_scan_oracle_on_orthoclosed_lattices(x):
+    assert_tables_match_scan(orthoclosed_lattice(x))
 
 
 # --------------------------------------------------------- orthomodularity
@@ -222,6 +259,14 @@ def test_projection_facts_hold_on_omls():
     for name in ("boolean2", "boolean3", "mo2", "horizontal_sum_lattice"):
         facts = projection_facts(lat_of(name))
         assert all(v.holds for v in facts.values()), name
+
+
+def test_projection_facts_project_each_pair_once(count_calls):
+    # the four laws read one table of the 16 * 16 projections of B4; law by
+    # law they would make 5 * 16**2 + 16**3 = 5,376 calls
+    calls = count_calls(lattice, "sasaki_projection")
+    assert all(v.holds for v in projection_facts(corpus.boolean_lattice(4)).values())
+    assert len(calls) == 256
 
 
 def test_projection_facts_reject_benzene():

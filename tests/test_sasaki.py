@@ -22,7 +22,7 @@ from orthokit import (
     shortcut_construct,
     verify_refutation,
 )
-from orthokit import corpus
+from orthokit import corpus, lattice
 from orthokit.sasaki import SasakiMapWitness, _finch_laws
 
 from oracles import finch_laws_by_scan
@@ -266,6 +266,16 @@ def test_sasaki_from_oml_every_principal_target():
         )
         w = sasaki_from_oml(lat, a, x)
         assert is_sasaki_map(x, a, w.table).holds
+
+
+def test_sasaki_from_oml_scans_orthomodularity_once(count_calls):
+    calls = count_calls(lattice, "is_orthomodular")
+    lat = corpus.mo_lattice(3)
+    x = oml_to_orthoset(lat)
+    for i in range(lat.n):
+        a = frozenset(e for e in range(x.n) if lat.leq(lat.index(x.labels[e]), i))
+        sasaki_from_oml(lat, a, x)
+    assert len(calls) == 1  # one scan per lattice, not one per target (8)
 
 
 def test_sasaki_from_oml_rejects_non_principal():
