@@ -94,6 +94,17 @@ def _verdict_line(label: str, v: Verdict | None) -> str:
     return text
 
 
+def _parse_json(raw: str, source: str) -> Any:
+    """The JSON value in raw; a syntax error or a nesting too deep for the
+    parser is an input error naming `source`."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON in {source}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"invalid JSON in {source}: nested too deeply") from None
+
+
 def _read_doc(path: str) -> Any:
     try:
         if path == "-":
@@ -101,12 +112,9 @@ def _read_doc(path: str) -> Any:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from None
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path!r}: {exc}") from None
+    return _parse_json(raw, repr(path))
 
 
 def _doc_kind(doc: Any) -> str:
@@ -180,8 +188,11 @@ def _cmd_lattice(args: argparse.Namespace) -> tuple[Any, list[str], int]:
         dot = lattice_to_dot(lat, name=args.name)
         if args.dot == "-":
             return {"dot": dot}, [dot.rstrip("\n")], 0
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.dot!r}: {exc}") from None
     om = lat.orthomodular
     cov = lat.covering_report
     result: dict[str, Any] = {
@@ -437,10 +448,7 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[Any, list[str], int]:
         result["ok"] = good == len(outcomes)
         return result, lines, 0 if good == len(outcomes) else 1
     # generate
-    try:
-        params = json.loads(args.params)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"--params is not valid JSON: {exc}") from None
+    params = _parse_json(args.params, "--params")
     if not isinstance(params, dict):
         raise InputError("--params must be a JSON object")
     obj = corpus_mod.generate(args.kind, params, seed=args.seed, cap=args.lattice_cap)
@@ -561,7 +569,7 @@ def _input_echo(args: argparse.Namespace) -> Any:
         if args.action == "show":
             return args.name
         if args.action == "generate":
-            return {"kind": args.kind, "params": json.loads(args.params)}
+            return {"kind": args.kind, "params": _parse_json(args.params, "--params")}
         if args.action == "run-golden":
             return {"only": _split_labels(args.only) if args.only else None}
         return None

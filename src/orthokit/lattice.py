@@ -16,25 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
-from .config import lattice_cap
+from .config import clique_budget, lattice_cap
 from .errors import (
     BudgetExceededError,
     InputError,
     LatticeLawError,
     NotOrthomodularError,
 )
-from .orthoset import ClosureTable, Orthoset, Subset, Verdict, first_counterexample
-
-
-def _bits(mask: int) -> Iterable[int]:
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+from .orthoset import ClosureTable, Orthoset, Subset, Verdict, _bits, first_counterexample
 
 
 class OrthoLattice:
@@ -61,26 +52,23 @@ class OrthoLattice:
             up_l[i] |= 1 << i  # reflexive closure
             if up_l[i] & ~full:
                 raise InputError("up-set mask refers to indices out of range")
-        # transitive closure, then antisymmetry
-        changed = True
-        while changed:
-            changed = False
+        # transitive closure (Warshall: after step k, up_l[i] holds all that
+        # i reaches through elements 0..k), the transpose, then antisymmetry
+        for k in range(n):
+            bit, above = 1 << k, up_l[k]
             for i in range(n):
-                acc = up_l[i]
-                for j in _bits(up_l[i]):
-                    acc |= up_l[j]
-                if acc != up_l[i]:
-                    up_l[i] = acc
-                    changed = True
-        for i in range(n):
-            for j in _bits(up_l[i]):
-                if i != j and (up_l[j] >> i) & 1:
-                    raise LatticeLawError("not-a-poset", (self.labels[i], self.labels[j]))
-        self.up: tuple[int, ...] = tuple(up_l)
+                if up_l[i] & bit:
+                    up_l[i] |= above
         down_l = [0] * n
         for i in range(n):
             for j in _bits(up_l[i]):
                 down_l[j] |= 1 << i
+        for i in range(n):
+            both = up_l[i] & down_l[i] & ~(1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise LatticeLawError("not-a-poset", (self.labels[i], self.labels[j]))
+        self.up: tuple[int, ...] = tuple(up_l)
         self.down: tuple[int, ...] = tuple(down_l)
 
         self.n = n
@@ -347,25 +335,22 @@ def projection_facts(lat: OrthoLattice) -> dict[str, Verdict]:
 
 def oml_to_orthoset(lat: OrthoLattice) -> Orthoset:
     """Orthoset on the nonzero elements, x orthogonal to y iff x <= ortho(y)."""
-    keep = [i for i in range(lat.n) if i != lat.bottom]
-    labels = [lat.labels[i] for i in keep]
+    return _orthoset_on(lat, [i for i in range(lat.n) if i != lat.bottom])
+
+
+def atoms_to_orthoset(lat: OrthoLattice) -> Orthoset:
+    """Same relation restricted to the atoms."""
+    return _orthoset_on(lat, lat.atoms)
+
+
+def _orthoset_on(lat: OrthoLattice, keep: Sequence[int]) -> Orthoset:
+    """The elements `keep`, in order, with x orthogonal to y iff x <= ortho(y)."""
     pairs = [
         (lat.labels[i], lat.labels[j])
         for i, j in combinations(keep, 2)
         if lat.leq(i, lat.ortho[j])
     ]
-    return Orthoset.build(labels, pairs)
-
-
-def atoms_to_orthoset(lat: OrthoLattice) -> Orthoset:
-    """Same relation restricted to the atoms."""
-    labels = [lat.labels[i] for i in lat.atoms]
-    pairs = [
-        (lat.labels[i], lat.labels[j])
-        for i, j in combinations(lat.atoms, 2)
-        if lat.leq(i, lat.ortho[j])
-    ]
-    return Orthoset.build(labels, pairs)
+    return Orthoset.build([lat.labels[i] for i in keep], pairs)
 
 
 def set_label(x: Orthoset, s: Subset) -> str:
@@ -384,7 +369,7 @@ def orthoclosed_lattice(x: Orthoset, budget: int | None = None,
     Element i of the result is the i-th member of x.orthoclosed_family()
     in canonical order; labels render the member sets.
     """
-    return _table_lattice(x, ClosureTable(x, x.orthoclosed_family(budget)), cap)
+    return _table_lattice(x, ClosureTable(x, budget), cap)
 
 
 def _table_lattice(x: Orthoset, table: ClosureTable, cap: int | None) -> OrthoLattice:
@@ -395,11 +380,12 @@ def _table_lattice(x: Orthoset, table: ClosureTable, cap: int | None) -> OrthoLa
 def dacey_criterion(x: Orthoset, family_budget_: int | None = None,
                     clique_budget_: int | None = None) -> Verdict:
     """For every orthoclosed A and maximal perp-set D inside A: A = closure(D)."""
-    for a in x.orthoclosed_family(family_budget_):
-        for d in x.maximal_perp_sets(within=a, budget=clique_budget_):
-            c, _ = x.closure(d)
-            if c != a:
-                return Verdict(False, witness=(x.labels_of(a), x.labels_of(d)))
+    family = x._closed_masks(family_budget_)
+    limit = clique_budget(clique_budget_)
+    for a in family:
+        for d in x._maximal_perp_masks(a, limit):
+            if x._perp(x._perp(d)) != a:
+                return Verdict(False, witness=(x._labels(a), x._labels(d)))
     return Verdict(True)
 
 
@@ -523,7 +509,7 @@ def _roundtrip_orthoset(x: Orthoset, budget: int | None, cap: int | None) -> Rou
     pc = x.is_point_closed()
     if not pc.holds:
         return RoundtripResult(False, "orthoset", hypothesis_failure=("point-closed", pc.witness))
-    closed = ClosureTable(x, x.orthoclosed_family(budget))
+    closed = ClosureTable(x, budget)
     lat = _table_lattice(x, closed, cap)
     table = [closed.index[1 << e] for e in range(x.n)]
     if sorted(table) != sorted(lat.atoms):
@@ -548,7 +534,7 @@ def _roundtrip_lattice(lat: OrthoLattice, budget: int | None, cap: int | None) -
             False, "lattice", hypothesis_failure=("atomistic", rep.atomistic.witness)
         )
     x = atoms_to_orthoset(lat)
-    closed = ClosureTable(x, x.orthoclosed_family(budget))
+    closed = ClosureTable(x, budget)
     produced = _table_lattice(x, closed, cap)
     table: list[int] = []
     for p in range(lat.n):

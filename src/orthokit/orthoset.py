@@ -5,12 +5,14 @@ An orthoset is a finite set with a symmetric, irreflexive binary relation
 perp (the common orthocomplement of a subset), double-perp closure, and the
 enumeration of the orthoclosed sets, which form a complete ortholattice.
 
-Subsets are plain frozensets of element indices over a fixed parent
-orthoset.  The canonical order on subsets, used everywhere a deterministic
-enumeration is promised, is (cardinality, lexicographic on sorted indices).
-Predicates that read many closures of one orthoset go through a
-ClosureTable instead: the family indexed by canonical position, with
-subsets held as int masks.
+At the public API a subset is a frozenset of element indices over a fixed
+parent orthoset; each public method validates its argument once.
+Internally every subset is an int mask (bit i is element i), and one
+unchecked kernel, Orthoset._perp, computes every perp.  The canonical order
+on subsets, used everywhere a deterministic enumeration is promised, is
+(cardinality, lexicographic on sorted indices).  Predicates that read many
+closures of one orthoset go through a ClosureTable: the family indexed by
+canonical position.
 """
 from __future__ import annotations
 
@@ -26,6 +28,19 @@ Subset = frozenset[int]
 def subset_key(s: Subset) -> tuple[int, tuple[int, ...]]:
     """Canonical sort key: cardinality first, then sorted index tuple."""
     return (len(s), tuple(sorted(s)))
+
+
+def _bits(m: int) -> Iterator[int]:
+    """Indices of the set bits of a mask, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _mask_key(m: int) -> tuple[int, tuple[int, ...]]:
+    """subset_key of the subset a mask stands for."""
+    return (m.bit_count(), tuple(_bits(m)))
 
 
 @dataclass(frozen=True)
@@ -98,6 +113,9 @@ class Orthoset:
                     raise InputError("adjacency index out of range")
                 if i not in self.adj[j]:
                     raise InputError("orthogonality must be symmetric")
+        # the kernel's view of adj: the point perps as masks
+        object.__setattr__(self, "_adj", tuple(sum(1 << j for j in nb) for nb in self.adj))
+        object.__setattr__(self, "_full", (1 << n) - 1)
 
     # ---------------------------------------------------------------- build
 
@@ -169,57 +187,72 @@ class Orthoset:
         return frozenset(self.index(lab) for lab in labels)
 
     def labels_of(self, s: Subset) -> tuple[str, ...]:
-        self._check(s)
-        return tuple(self.labels[i] for i in sorted(s))
+        return self._labels(self._mask(s))
 
-    def _check(self, s: Subset) -> None:
+    def _mask(self, s: Subset) -> int:
+        """The validated public subset s as a mask."""
+        n = self.n
+        m = 0
         for i in s:
-            if not isinstance(i, int) or not 0 <= i < self.n:
-                raise InvalidSubsetError(f"subset index {i!r} out of range for |X| = {self.n}")
+            if not isinstance(i, int) or not 0 <= i < n:
+                raise InvalidSubsetError(f"subset index {i!r} out of range for |X| = {n}")
+            m |= 1 << i
+        return m
+
+    def _labels(self, m: int) -> tuple[str, ...]:
+        return tuple(self.labels[i] for i in _bits(m))
 
     def orthogonal(self, i: int, j: int) -> bool:
-        self._check(frozenset((i, j)))
+        self._mask(frozenset((i, j)))
         return j in self.adj[i]
 
     # ------------------------------------------------------------- perp ops
+
+    def _perp(self, m: int) -> int:
+        """The kernel: common orthocomplement of a mask, as a mask.  The
+        mask is not validated."""
+        out = self._full
+        while m and out:
+            low = m & -m
+            out &= self._adj[low.bit_length() - 1]
+            m ^= low
+        return out
 
     def perp(self, s: Subset) -> Subset:
         """Common orthocomplement {x : x is orthogonal to every element of s}.
 
         perp of the empty set is the whole universe.
         """
-        self._check(s)
-        out = set(range(self.n))
-        for i in s:
-            out &= self.adj[i]
-            if not out:
-                break
-        return frozenset(out)
+        return frozenset(_bits(self._perp(self._mask(s))))
 
     def closure(self, s: Subset) -> tuple[Subset, bool]:
         """Double perp of s, plus a flag telling whether s was already closed."""
-        c = self.perp(self.perp(s))
-        return c, c == frozenset(s)
+        m = self._mask(s)
+        c = self._perp(self._perp(m))
+        return frozenset(_bits(c)), c == m
 
     def is_orthoclosed(self, s: Subset) -> bool:
-        return self.closure(s)[1]
+        m = self._mask(s)
+        return self._perp(self._perp(m)) == m
 
     def orthoclosed_family(self, budget: int | None = None) -> list[Subset]:
-        """All orthoclosed sets, in canonical order.
+        """All orthoclosed sets, in canonical order."""
+        return [frozenset(_bits(m)) for m in self._closed_masks(budget)]
+
+    def _closed_masks(self, budget: int | None = None) -> list[int]:
+        """The orthoclosed family as masks, in canonical order.
 
         Every orthoclosed set is an intersection of single-element perps
         (the empty intersection being X), so the family is the closure of
         {X} under intersection with the point perps.
         """
         limit = family_budget(budget)
-        universe = self.universe
-        point_perps = [self.adj[x] for x in range(self.n)]
-        family: set[Subset] = {universe}
-        frontier: list[Subset] = [universe]
+        family = {self._full}
+        frontier = [self._full]
         while frontier:
-            fresh: list[Subset] = []
+            fresh: list[int] = []
             for member in frontier:
-                for p in point_perps:
+                for p in self._adj:
                     s = member & p
                     if s not in family:
                         family.add(s)
@@ -229,77 +262,73 @@ class Orthoset:
                             )
                         fresh.append(s)
             frontier = fresh
-        return sorted(family, key=subset_key)
+        return sorted(family, key=_mask_key)
 
     # ---------------------------------------------------------- perp-sets
 
     def maximal_perp_sets(self, within: Subset | None = None, budget: int | None = None) -> list[Subset]:
-        """Maximal sets of pairwise-orthogonal elements inside `within`.
+        """Maximal sets of pairwise-orthogonal elements inside `within`
+        (default: the whole universe), in canonical order.  The empty
+        orthoset has the empty set as its one maximal perp-set."""
+        w = self._full if within is None else self._mask(within)
+        return [frozenset(_bits(m)) for m in self._maximal_perp_masks(w, clique_budget(budget))]
 
-        Bron-Kerbosch with pivoting on the orthogonality graph restricted
-        to `within` (default: the whole universe).  Output is in canonical
-        order.  The empty orthoset has the empty set as its one maximal
-        perp-set.
-        """
-        if within is None:
-            w: set[int] = set(range(self.n))
-        else:
-            self._check(within)
-            w = set(within)
-        limit = clique_budget(budget)
-        adj = [self.adj[i] & w for i in range(self.n)]
-        out: list[Subset] = []
+    def _maximal_perp_masks(self, w: int, limit: int) -> list[int]:
+        """Bron-Kerbosch with pivoting on the orthogonality graph restricted
+        to the mask w; masks in canonical order."""
+        adj = [a & w for a in self._adj]
+        out: list[int] = []
 
-        def expand(r: list[int], p: set[int], x: set[int]) -> None:
+        def expand(r: int, p: int, x: int) -> None:
             if not p and not x:
-                out.append(frozenset(r))
+                out.append(r)
                 if len(out) > limit:
                     raise BudgetExceededError(f"perp-set enumeration exceeds budget of {limit}")
                 return
             # pivot of highest degree in p, smallest index breaking ties
-            pivot = max(sorted(p | x), key=lambda v: len(adj[v] & p))
-            for v in sorted(p - adj[pivot]):
-                expand(r + [v], p & adj[v], x & adj[v])
-                p = p - {v}
-                x = x | {v}
+            pivot = max(_bits(p | x), key=lambda v: (adj[v] & p).bit_count())
+            for v in _bits(p & ~adj[pivot]):
+                expand(r | 1 << v, p & adj[v], x & adj[v])
+                p &= ~(1 << v)
+                x |= 1 << v
 
-        expand([], set(w), set())
-        out.sort(key=subset_key)
+        expand(0, w, 0)
+        out.sort(key=_mask_key)
         return out
 
     def perp_sets(self, within: Subset | None = None, budget: int | None = None) -> list[Subset]:
         """All perp-sets (the empty one included) inside `within`, canonical order."""
-        if within is None:
-            w = sorted(range(self.n))
-        else:
-            self._check(within)
-            w = sorted(within)
-        limit = clique_budget(budget)
-        out: list[Subset] = []
+        w = self._full if within is None else self._mask(within)
+        return [frozenset(_bits(m)) for m in self._perp_set_masks(w, clique_budget(budget))]
 
-        def extend(clique: list[int], candidates: list[int]) -> None:
-            out.append(frozenset(clique))
+    def _perp_set_masks(self, w: int, limit: int) -> list[int]:
+        """All perp-sets inside the mask w, as masks in canonical order."""
+        out: list[int] = []
+
+        def extend(clique: int, candidates: int) -> None:
+            out.append(clique)
             if len(out) > limit:
                 raise BudgetExceededError(f"perp-set enumeration exceeds budget of {limit}")
-            for k, v in enumerate(candidates):
-                extend(clique + [v], [u for u in candidates[k + 1:] if u in self.adj[v]])
+            for v in _bits(candidates):
+                candidates &= ~(1 << v)  # the later candidates
+                extend(clique | 1 << v, candidates & self._adj[v])
 
-        extend([], w)
-        out.sort(key=subset_key)
+        extend(0, w)
+        out.sort(key=_mask_key)
         return out
 
     def rank(self, budget: int | None = None) -> int:
         """Largest size of a perp-set; 0 for the empty orthoset."""
-        return max(len(c) for c in self.maximal_perp_sets(budget=budget))
+        return max(m.bit_count() for m in self._maximal_perp_masks(self._full, clique_budget(budget)))
 
     # ------------------------------------------------------- structural checks
 
     def is_point_closed(self) -> Verdict:
         """Every singleton equals its double perp."""
         for x in range(self.n):
-            c, closed = self.closure(frozenset((x,)))
-            if not closed:
-                return Verdict(False, witness=(self.labels[x], self.labels_of(c)))
+            c = self._perp(self._perp(1 << x))
+            if c != 1 << x:
+                return Verdict(False, witness=(self.labels[x], self._labels(c)))
         return Verdict(True)
 
     def is_irreducible(self) -> Verdict:
@@ -310,17 +339,16 @@ class Orthoset:
         """
         if self.n <= 1:
             return Verdict(True, note="trivial orthoset, irreducible by convention")
-        comp = {0}
+        comp = 1
         stack = [0]
         while stack:
-            u = stack.pop()
-            for v in range(self.n):
-                if v != u and v not in self.adj[u] and v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        if len(comp) == self.n:
+            # the elements not orthogonal to u and not reached yet
+            fresh = ~self._adj[stack.pop()] & ~comp & self._full
+            comp |= fresh
+            stack.extend(_bits(fresh))
+        if comp == self._full:
             return Verdict(True)
-        return Verdict(False, witness=self.labels_of(frozenset(comp)))
+        return Verdict(False, witness=self._labels(comp))
 
     def is_transitive(self, bound: int | None = None) -> Verdict:
         """For every ordered pair (e, f): an automorphism sending e to f
@@ -349,7 +377,8 @@ class Orthoset:
     def _automorphism_fixing(self, e: int, f: int) -> list[int] | None:
         """Adjacency-preserving bijection with tau(e) = f, fixing adj[e] & adj[f]."""
         n = self.n
-        deg = [len(a) for a in self.adj]
+        adj = self._adj
+        deg = [a.bit_count() for a in adj]
         img: list[int] = [-1] * n
         used = [False] * n
 
@@ -357,7 +386,7 @@ class Orthoset:
             if deg[u] != deg[v]:
                 return False
             for w in range(n):
-                if img[w] >= 0 and (w in self.adj[u]) != (img[w] in self.adj[v]):
+                if img[w] >= 0 and (adj[u] >> w & 1) != (adj[v] >> img[w] & 1):
                     return False
             return True
 
@@ -372,7 +401,7 @@ class Orthoset:
 
         if not place(e, f):
             return None
-        for x in sorted(self.adj[e] & self.adj[f]):
+        for x in _bits(adj[e] & adj[f]):
             if not place(x, x):
                 return None
 
@@ -403,42 +432,31 @@ class Orthoset:
 class ClosureTable:
     """The orthoclosed family of one orthoset, addressed by position.
 
-    `family` must be x.orthoclosed_family(): complete and in canonical
-    order.  Positions then agree with the element order of the orthoclosed
-    lattice, and every double perp lands on a member, so closures, perps,
-    joins and inclusions all come back as positions.  Subsets are int masks
-    here (bit i is element i) and are not validated: the table is an
-    internal kernel, the frozenset methods of Orthoset stay the public,
-    checked interface.
+    The family is enumerated once, as masks in canonical order, within the
+    family budget.  Positions then agree with the element order of the
+    orthoclosed lattice, and every double perp lands on a member, so
+    closures, perps, joins and inclusions all come back as positions.
+    Masks given to the table are not validated: it is an internal kernel,
+    the frozenset methods of Orthoset stay the public, checked interface.
     """
 
-    def __init__(self, x: Orthoset, family: list[Subset]):
-        self.sets: tuple[Subset, ...] = tuple(family)
-        self.masks: tuple[int, ...] = tuple(sum(1 << i for i in s) for s in self.sets)
+    def __init__(self, x: Orthoset, budget: int | None = None):
+        self._perp = x._perp
+        self.masks: tuple[int, ...] = tuple(x._closed_masks(budget))
+        self.sets: tuple[Subset, ...] = tuple(frozenset(_bits(m)) for m in self.masks)
         self.index: dict[int, int] = {m: i for i, m in enumerate(self.masks)}
-        self.full = (1 << x.n) - 1
-        self._adj = tuple(sum(1 << j for j in nb) for nb in x.adj)
         # perp of a member, as a position
-        self.perp: tuple[int, ...] = tuple(self.index[self._perp_mask(m)] for m in self.masks)
+        self.perp: tuple[int, ...] = tuple(self.index[self._perp(m)] for m in self.masks)
         # up[i] has bit j set iff member i is contained in member j
         self.up: tuple[int, ...] = tuple(
             sum(1 << j for j, mj in enumerate(self.masks) if mi & mj == mi)
             for mi in self.masks
         )
 
-    def _perp_mask(self, m: int) -> int:
-        """Common orthocomplement of a mask, as a mask."""
-        out = self.full
-        while m and out:
-            low = m & -m
-            out &= self._adj[low.bit_length() - 1]
-            m ^= low
-        return out
-
     def close(self, m: int) -> int:
         """Position of the double perp of a mask.  A single perp is already
         orthoclosed, so the second one is a lookup."""
-        return self.perp[self.index[self._perp_mask(m)]]
+        return self.perp[self.index[self._perp(m)]]
 
     def join(self, i: int, j: int) -> int:
         """Position of the closure of the union of members i and j: the perp

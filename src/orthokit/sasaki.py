@@ -7,16 +7,19 @@ over all ordered pairs of the domain, the diagonal included.
 
 The witness search is a deterministic backtracking over free domain
 elements in index order with values tried in index order, so the first
-witness found is the lexicographically least.  Nonexistence is certified
-by a replayable refutation trace: the pruned branches with their violated
-pairs, which verify_refutation re-checks independently of the search.
+witness found is the lexicographically least; it is one loop on an
+explicit stack, so no recursion limit bounds it.  Nonexistence is
+certified by a replayable refutation trace: the pruned branches with their
+violated pairs, which verify_refutation re-checks from x.adj alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from itertools import accumulate, islice
+from operator import or_
+from typing import Any, Iterator, Mapping
 
-from .config import node_budget as node_budget_cfg
+from .config import clique_budget as clique_budget_cfg, node_budget as node_budget_cfg
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -27,7 +30,7 @@ from .errors import (
     HypothesisViolation,
 )
 from .lattice import OrthoLattice, _require_orthomodular, dacey_criterion, oml_to_orthoset, sasaki_projection
-from .orthoset import ClosureTable, Orthoset, PropertyReport, Subset, Verdict, first_counterexample, subset_key
+from .orthoset import ClosureTable, Orthoset, PropertyReport, Subset, Verdict, _bits, _mask_key, first_counterexample
 
 
 @dataclass
@@ -79,11 +82,13 @@ class SasakiVerdict:
     nodes: int
 
 
-def _require_orthoclosed(x: Orthoset, a: Subset) -> None:
-    if not x.is_orthoclosed(a):
-        raise NotOrthoclosedError(
-            f"target {tuple(x.labels_of(a))!r} is not orthoclosed"
-        )
+def _require_orthoclosed(x: Orthoset, a: Subset) -> tuple[int, int]:
+    """The masks of a and of its perp, unless a is not orthoclosed."""
+    m = x._mask(a)
+    perp = x._perp(m)
+    if x._perp(perp) != m:
+        raise NotOrthoclosedError(f"target {x._labels(m)!r} is not orthoclosed")
+    return m, perp
 
 
 def is_sasaki_map(x: Orthoset, a: Subset, table: Mapping[int, int]) -> Verdict:
@@ -92,8 +97,8 @@ def is_sasaki_map(x: Orthoset, a: Subset, table: Mapping[int, int]) -> Verdict:
     Domain and range problems are input errors; condition failures are
     verdicts carrying the first violated element or ordered pair.
     """
-    _require_orthoclosed(x, a)
-    domain = x.universe - x.perp(a)
+    _, aperp = _require_orthoclosed(x, a)
+    domain = frozenset(_bits(x._full & ~aperp))
     if frozenset(table) != domain:
         raise MapDomainError(
             f"domain must be exactly the complement of the perp of the target; "
@@ -115,76 +120,65 @@ def is_sasaki_map(x: Orthoset, a: Subset, table: Mapping[int, int]) -> Verdict:
     return Verdict(True)
 
 
-def _enumerate_maps(
-    x: Orthoset,
-    a: Subset,
-    budget: int,
-    limit: int,
-    want_trace: bool,
-) -> tuple[list[dict[int, int]], list[tuple[tuple[int, ...], tuple[int, int]]], list[int], int]:
-    """Backtracking core; returns (found tables, trace, free order, nodes)."""
-    aperp = x.perp(a)
-    fixed = sorted(a)
-    free = [e for e in sorted(x.universe - aperp) if e not in a]
-    adj = x.adj
-    assign: dict[int, int] = {e: e for e in fixed}
-    prefix: list[int] = []
-    found: list[dict[int, int]] = []
-    trace: list[tuple[tuple[int, ...], tuple[int, int]]] = []
-    nodes = 0
+class _MapSearch:
+    """Every Sasaki map to the target mask a, in lexicographic order: the
+    free domain elements (outside a and its perp) take the elements of a in
+    index order, one node per try.  Value v for e clashes with an assigned
+    g when v orth g differs from e orth phi(g); the first such g in a, else
+    the first free one, is recorded with the pruned branch in `trace`."""
 
-    def first_conflict(e: int, v: int, k: int) -> tuple[int, int] | None:
-        # against the fixed part: phi(e) orth a  iff  e orth a
-        for t in fixed:
-            if (t in adj[v]) != (t in adj[e]):
-                return (e, t)
-        # against earlier free assignments, both orientations
-        for j in range(k):
-            f = free[j]
-            w = assign[f]
-            if (f in adj[v]) != (w in adj[e]) or (e in adj[w]) != (v in adj[f]):
-                return (e, f)
-        return None
+    def __init__(self, x: Orthoset, a: int, aperp: int, budget: int):
+        self.adj, self.a, self.budget = x._adj, a, budget
+        self.fixed = list(_bits(a))
+        self.free = list(_bits(x._full & ~aperp & ~a))
+        self.trace: list[tuple[tuple[int, ...], tuple[int, int]]] = []
+        self.nodes = 0
 
-    def extend(k: int) -> bool:
-        nonlocal nodes
-        if k == len(free):
-            found.append(dict(assign))
-            return len(found) >= limit
-        e = free[k]
-        for v in fixed:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(f"sasaki search exceeded {budget} nodes")
-            conflict = first_conflict(e, v, k)
-            if conflict is not None:
-                if want_trace:
-                    trace.append((tuple(prefix) + (v,), conflict))
-                continue
-            assign[e] = v
-            prefix.append(v)
-            done = extend(k + 1)
+    def __iter__(self) -> Iterator[dict[int, int]]:
+        adj, a, fixed, free, trace = self.adj, self.a, self.fixed, self.free, self.trace
+        # owned[k]: the elements assigned while free[k] is tried
+        owned = list(accumulate((1 << f for f in free), or_, initial=a))
+        prefix: list[int] = []  # the values of free[0..k-1]
+        tried: list[int] = []  # tried[k]: how many values free[k] has tried
+        agree: list[int] = []  # agree[k]: the assigned g with phi(g) orth free[k]
+        while True:
+            k = len(prefix)
+            if k == len(free):
+                yield {**{t: t for t in fixed}, **dict(zip(free, prefix))}
+            else:
+                e = free[k]
+                if len(tried) == k:
+                    tried.append(0)
+                    agree.append(adj[e] & a | sum(1 << g for g, w in zip(free, prefix) if adj[e] >> w & 1))
+                if tried[k] < len(fixed):
+                    v = fixed[tried[k]]
+                    tried[k] += 1
+                    self.nodes += 1
+                    if self.nodes > self.budget:
+                        raise BudgetExceededError(f"sasaki search exceeded {self.budget} nodes")
+                    clash = (adj[v] & owned[k]) ^ agree[k]
+                    if not clash:
+                        prefix.append(v)
+                    else:
+                        first = clash & a or clash
+                        trace.append((tuple(prefix) + (v,), (e, (first & -first).bit_length() - 1)))
+                    continue
+                tried.pop()
+                agree.pop()
+            # past a leaf, or past the last value of free[k]: back up
+            if not prefix:
+                return
             prefix.pop()
-            del assign[e]
-            if done:
-                return True
-        return False
-
-    extend(0)
-    return found, trace, free, nodes
 
 
 def find_sasaki_map(x: Orthoset, a: Subset, budget: int | None = None) -> SasakiVerdict:
     """Lexicographically least Sasaki map to a, or a refutation trace."""
-    _require_orthoclosed(x, a)
-    found, trace, free, nodes = _enumerate_maps(
-        x, a, node_budget_cfg(budget), limit=1, want_trace=True
-    )
-    if found:
-        return SasakiVerdict(True, SasakiMapWitness(a, found[0]), None, nodes)
-    return SasakiVerdict(
-        False, None, RefutationTrace(a, tuple(free), tuple(trace)), nodes
-    )
+    search = _MapSearch(x, *_require_orthoclosed(x, a), node_budget_cfg(budget))
+    table = next(iter(search), None)
+    if table is not None:
+        return SasakiVerdict(True, SasakiMapWitness(a, table), None, search.nodes)
+    ref = RefutationTrace(a, tuple(search.free), tuple(search.trace))
+    return SasakiVerdict(False, None, ref, search.nodes)
 
 
 def count_sasaki_maps(x: Orthoset, a: Subset, limit: int = 2,
@@ -192,11 +186,8 @@ def count_sasaki_maps(x: Orthoset, a: Subset, limit: int = 2,
     """Up to `limit` Sasaki maps in lexicographic order (uniqueness checks)."""
     if limit < 1:
         raise InputError(f"map count limit must be at least 1, got {limit}")
-    _require_orthoclosed(x, a)
-    found, _, _, _ = _enumerate_maps(
-        x, a, node_budget_cfg(budget), limit=limit, want_trace=False
-    )
-    return [SasakiMapWitness(a, t) for t in found]
+    search = _MapSearch(x, *_require_orthoclosed(x, a), node_budget_cfg(budget))
+    return [SasakiMapWitness(a, t) for t in islice(search, limit)]
 
 
 def verify_refutation(x: Orthoset, ref: RefutationTrace) -> bool:
@@ -263,17 +254,16 @@ def shortcut_construct(x: Orthoset, a: Subset) -> ShortcutResult | None:
     (c) A a singleton: the constant map.
     Returns None when no clause applies.
     """
-    _require_orthoclosed(x, a)
-    aperp = x.perp(a)
-    domain = x.universe - aperp
-    if aperp == x.universe - a:
+    am, aperp = _require_orthoclosed(x, a)
+    dom = x._full & ~aperp
+    domain = list(_bits(dom))
+    if aperp == x._full & ~am:
         return ShortcutResult("a", SasakiMapWitness(a, {e: e for e in domain}))
-    if all(f in x.adj[e] for e in domain for f in domain if e < f):
+    if all(dom & ~x._adj[e] == 1 << e for e in domain):
         # a perp-set complement forces perp(A) to be the complement of A
         return ShortcutResult("b", SasakiMapWitness(a, {e: e for e in domain}))
-    if len(a) == 1:
-        target = next(iter(a))
-        return ShortcutResult("c", SasakiMapWitness(a, {e: target for e in domain}))
+    if am.bit_count() == 1:
+        return ShortcutResult("c", SasakiMapWitness(a, dict.fromkeys(domain, am.bit_length() - 1)))
     return None
 
 
@@ -312,9 +302,8 @@ def is_sasaki_space(
     if mode == "naive":
         targets = x.orthoclosed_family(family_budget)
     elif mode == "reduced":
-        targets = sorted(
-            {x.perp(d) for d in x.perp_sets(budget=clique_budget)}, key=subset_key
-        )
+        perps = {x._perp(d) for d in x._perp_set_masks(x._full, clique_budget_cfg(clique_budget))}
+        targets = [frozenset(_bits(m)) for m in sorted(perps, key=_mask_key)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     witnesses: dict[Subset, SasakiMapWitness] = {}
@@ -342,23 +331,19 @@ def sasaki_from_oml(lat: OrthoLattice, a: Subset, x: Orthoset | None = None) -> 
     _require_orthomodular(lat, "sasaki_from_oml requires an orthomodular lattice")
     if x is None:
         x = oml_to_orthoset(lat)
-    x._check(a)
+    am = x._mask(a)
     to_lat = [lat.index(label) for label in x.labels]
-    if a:
-        gen = lat.bottom
-        for e in a:
-            gen = lat.join(gen, to_lat[e])
-    else:
-        gen = lat.bottom
+    gen = lat.bottom
+    for e in a:
+        gen = lat.join(gen, to_lat[e])
     principal = frozenset(e for e in range(x.n) if lat.leq(to_lat[e], gen))
     if principal != a:
         raise NotPrincipalError(
             f"target {tuple(x.labels_of(a))!r} is not the trace of a principal down-set"
         )
-    domain = x.universe - x.perp(a)
     table: dict[int, int] = {}
     lat_index_of = {to_lat[e]: e for e in range(x.n)}
-    for e in domain:
+    for e in _bits(x._full & ~x._perp(am)):
         p = sasaki_projection(lat, gen, to_lat[e])
         if p == lat.bottom:
             raise MapDomainError(
@@ -414,31 +399,30 @@ def finch_report(
             f"not a Sasaki space; first failing target {tuple(x.labels_of(space.first_failure))!r}",
             failure=space.failure,
         )
-    return FinchReport(laws=_finch_laws(x, list(space.targets), space.witnesses))
+    return FinchReport(laws=_finch_laws(x, ClosureTable(x, family_budget), space.witnesses))
 
 
 def _finch_laws(
     x: Orthoset,
-    family: list[Subset],
+    t: ClosureTable,
     witnesses: Mapping[Subset, SasakiMapWitness],
 ) -> dict[str, Verdict]:
     """The five law verdicts, first counterexample in lexicographic order of
     family positions.
 
-    `family` is x's orthoclosed family in canonical order.  Each induced
-    value bar[a][b] is one mask closure; the law loops are then lookups in
-    the closure table, since every set they name is a member.
+    `t` is x's closure table.  Each induced value bar[a][b] is one mask
+    closure; the law loops are then lookups in the table, since every set
+    they name is a member.
     """
-    t = ClosureTable(x, family)
     r = range(len(t.sets))
-    up, perp, top = t.up, t.perp, t.index[t.full]
+    up, perp, top = t.up, t.perp, t.index[x._full]
     bar: list[list[int]] = []
     for a in r:
         table = witnesses[t.sets[a]].table
-        aperp = t.sets[perp[a]]
+        outside = ~t.masks[perp[a]]
         # the set of image bits, summed, is the mask of the image
         bar.append([
-            t.close(sum({1 << table[e] for e in t.sets[b] if e not in aperp}))
+            t.close(sum({1 << table[e] for e in _bits(t.masks[b] & outside)}))
             for b in r
         ])
     join = [[t.join(b, c) for c in r] for b in r]
@@ -494,19 +478,17 @@ def sasaki_formula_check(
     if not space.is_sasaki:
         assert space.first_failure is not None
         raise HypothesisViolation("sasaki-space", x.labels_of(space.first_failure))
-    for a in space.targets:
-        witness = space.witnesses[a]
-        aperp = x.perp(a)
-        for e in sorted(x.universe - aperp):
-            predicted = x.closure(frozenset((e,)) | aperp)[0] & a
-            if predicted != frozenset((witness.table[e],)):
-                return Verdict(
-                    False,
-                    witness=(x.labels_of(a), x.labels[e], x.labels_of(predicted)),
-                )
+    for am in x._closed_masks(family_budget):
+        a = frozenset(_bits(am))
+        table = space.witnesses[a].table
+        aperp = x._perp(am)
+        for e in _bits(x._full & ~aperp):
+            predicted = x._perp(x._perp(1 << e | aperp)) & am
+            if predicted != 1 << table[e]:
+                return Verdict(False, witness=(x._labels(am), x.labels[e], x._labels(predicted)))
         maps = count_sasaki_maps(x, a, limit=2, budget=node_budget)
         if len(maps) != 1:
-            return Verdict(False, witness=(x.labels_of(a), "non-unique"))
+            return Verdict(False, witness=(x._labels(am), "non-unique"))
     return Verdict(True)
 
 

@@ -6,7 +6,7 @@ pruned implementations.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from orthokit import Orthoset, Subset, subset_key
 
@@ -49,6 +49,23 @@ def maximal_cliques_by_scan(x: Orthoset, within: Subset) -> list[Subset]:
             cliques.append(s)
     maximal = [s for s in cliques if not any(s < t for t in cliques)]
     return sorted(maximal, key=subset_key)
+
+
+def sasaki_maps_by_scan(x: Orthoset, a: Subset) -> list[dict]:
+    """Every Sasaki map to the orthoclosed set a, in lexicographic order of
+    value tables: each table from the complement of perp(a) into a, taken
+    from itertools.product in domain index order, is kept when it fixes a
+    pointwise and phi(e) orth f iff e orth phi(f) for every ordered pair
+    of the domain."""
+    domain = sorted(frozenset(range(x.n)) - perp_by_scan(x, a))
+    out = []
+    for image in product(sorted(a), repeat=len(domain)):
+        phi = dict(zip(domain, image))
+        if all(phi[e] == e for e in a) and all(
+            (phi[e] in x.adj[f]) == (e in x.adj[phi[f]]) for e in domain for f in domain
+        ):
+            out.append(phi)
+    return out
 
 
 def finch_laws_by_scan(x: Orthoset, family: list[Subset], witnesses) -> dict:

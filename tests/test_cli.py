@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from orthokit import Orthoset, cli, corpus, lattice, snapshot
 
@@ -99,13 +100,40 @@ def test_missing_file_is_an_input_error(capsys):
     code, out, err = run(capsys, ["check", "/nonexistent/file.json"])
     assert code == 2
     assert "cannot read" in err and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"elements": ["\u00e9"], "orthogonal": []}'.encode("latin-1"))
+    code, out, err = run(capsys, ["check", str(path)])
+    assert code == 2
+    assert "cannot read" in err and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_invalid_json_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    code, _, err = run(capsys, ["check", str(path)])
+    code, out, err = run(capsys, ["check", str(path)])
     assert code == 2 and "invalid JSON" in err
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("via_params", [False, True], ids=["file", "params"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, via_params):
+    if via_params:
+        argv = ["corpus", "generate", "boolean", "--params", DEEP]
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
+        argv = ["check", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and "invalid JSON" in err
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_fixture_is_an_input_error(capsys):
@@ -222,6 +250,20 @@ def test_sasaki_count_reports_multiplicity(capsys, tmp_path):
     assert result["count"] == 2 and len(result["maps"]) == 2
 
 
+def test_sasaki_search_depth_is_not_limited(capsys, tmp_path):
+    # 1,500 elements and one orthogonal pair: the target {x0} leaves 1,498
+    # free elements, each with the single value x0
+    elements = [f"x{i}" for i in range(1500)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"elements": elements, "orthogonal": [["x0", "x1"]]}))
+    code, out, _ = run(capsys, ["sasaki", str(path), "--target", "x0", "--format", "json"])
+    assert code == 0
+    result = envelope_of(out)["result"]
+    assert result["exists"] and result["nodes"] == 1498 and result["shortcut"] == "c"
+    code, out, _ = run(capsys, ["sasaki", str(path), "--target", "x0", "--count", "--format", "json"])
+    assert code == 0 and envelope_of(out)["result"]["count"] == 1
+
+
 def test_sasaki_count_zero_limit_is_an_input_error(capsys, tmp_path):
     path = write_payload(tmp_path, "two_edges", "two_edges.json")
     code, out, err = run(capsys, ["sasaki", path, "--target", "a", "--count", "--limit", "0"])
@@ -317,6 +359,14 @@ def test_lattice_report_from_orthoset_and_dot_output(capsys, tmp_path):
     code, _, _ = run(capsys, ["lattice", path, "--dot", str(target)])
     assert code == 0
     assert "->" in target.read_text()
+
+
+def test_unwritable_dot_path_is_an_input_error(capsys, tmp_path):
+    path = write_payload(tmp_path, "path4", "path4.json")
+    target = tmp_path / "no_such_dir" / "hasse.dot"
+    code, out, err = run(capsys, ["lattice", path, "--dot", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_lattice_roundtrip_flag(capsys, tmp_path):

@@ -65,6 +65,16 @@ def test_poset_cycle_rejected():
     with pytest.raises(LatticeLawError) as err:
         build_lattice(doc)
     assert err.value.law == "not-a-poset"
+    assert err.value.witness == ("x", "y")
+    # a 3-cycle with no pair given both ways: c <= b only through c <= a <= b
+    doc = {
+        "elements": ["0", "c", "b", "a", "1"],
+        "leq": [["0", "a"], ["a", "b"], ["b", "c"], ["c", "a"], ["c", "1"]],
+        "ortho": {"0": "1", "a": "a", "b": "c", "c": "b", "1": "0"},
+    }
+    with pytest.raises(LatticeLawError) as err:
+        build_lattice(doc)
+    assert (err.value.law, err.value.witness) == ("not-a-poset", ("c", "b"))
 
 
 def test_ortho_involution_violation_rejected():
@@ -359,14 +369,16 @@ def test_roundtrip_lattice_side():
 
 
 def test_roundtrip_enumerates_the_family_once(monkeypatch):
+    # every enumeration, orthoclosed_family and ClosureTable alike, is a
+    # call of the mask enumerator
     calls = []
-    enumerate_family = Orthoset.orthoclosed_family
+    enumerate_family = Orthoset._closed_masks
 
     def counted(self, budget=None):
         calls.append(self.n)
         return enumerate_family(self, budget)
 
-    monkeypatch.setattr(Orthoset, "orthoclosed_family", counted)
+    monkeypatch.setattr(Orthoset, "_closed_masks", counted)
     for obj in (corpus.get("horizontal_sum_atoms").build(), lat_of("horizontal_sum_lattice")):
         calls.clear()
         assert roundtrip_check(obj).ok

@@ -152,7 +152,7 @@ def test_family_is_a_moore_family(x):
 
 @given(orthosets(max_n=8))
 def test_closure_table_matches_scan_oracles(x):
-    t = ClosureTable(x, x.orthoclosed_family())
+    t = ClosureTable(x)
     assert list(t.sets) == family_by_scan(x)
     for i, s in enumerate(t.sets):
         assert t.sets[t.perp[i]] == perp_by_scan(x, s)

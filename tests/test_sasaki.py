@@ -23,9 +23,10 @@ from orthokit import (
     verify_refutation,
 )
 from orthokit import corpus, lattice
+from orthokit.orthoset import ClosureTable
 from orthokit.sasaki import SasakiMapWitness, _finch_laws
 
-from oracles import finch_laws_by_scan
+from oracles import finch_laws_by_scan, sasaki_maps_by_scan
 
 
 def x_of(name):
@@ -178,6 +179,18 @@ def test_count_maps_sees_multiple_on_non_point_closed_space():
         (("a", "a"), ("b", "b"), ("d", "a")),
         (("a", "a"), ("b", "b"), ("d", "b")),
     }
+
+
+@given(orthosets(max_n=6))
+def test_search_matches_the_scan_oracle(x):
+    for a in x.orthoclosed_family():
+        maps = sasaki_maps_by_scan(x, a)
+        assert [w.table for w in count_sasaki_maps(x, a, limit=3)] == maps[:3]
+        v = find_sasaki_map(x, a)
+        if maps:
+            assert v.exists and v.witness.table == maps[0]
+        else:
+            assert not v.exists and verify_refutation(x, v.refutation)
 
 
 # -------------------------------------------------------------- shortcuts
@@ -337,7 +350,7 @@ def test_finch_laws_match_scan_oracle():
     for name, x in finch_oracle_spaces().items():
         space = is_sasaki_space(x)
         fam = list(space.targets)
-        got = laws_as_pairs(_finch_laws(x, fam, space.witnesses))
+        got = laws_as_pairs(_finch_laws(x, ClosureTable(x), space.witnesses))
         assert got == finch_laws_by_scan(x, fam, space.witnesses), name
         assert got == laws_as_pairs(finch_report(x).laws), name
 
@@ -352,6 +365,7 @@ def test_finch_laws_match_scan_oracle_on_corrupted_witnesses():
     for name, x in finch_oracle_spaces().items():
         space = is_sasaki_space(x)
         fam = list(space.targets)
+        t = ClosureTable(x)
         for a in fam:
             if len(a) < 2:
                 continue
@@ -360,7 +374,7 @@ def test_finch_laws_match_scan_oracle_on_corrupted_witnesses():
                 for v in sorted(a - {table[e]}):
                     witnesses = dict(space.witnesses)
                     witnesses[a] = SasakiMapWitness(a, {**table, e: v})
-                    got = laws_as_pairs(_finch_laws(x, fam, witnesses))
+                    got = laws_as_pairs(_finch_laws(x, t, witnesses))
                     assert got == finch_laws_by_scan(x, fam, witnesses), (name, a, e, v)
                     failed |= {law for law, (holds, _) in got.items() if not holds}
     assert failed == {"composition", "adjoint_bound", "self_adjoint", "join_preserving"}
