@@ -275,11 +275,14 @@ class Orthoset:
 
     def _maximal_perp_masks(self, w: int, limit: int) -> list[int]:
         """Bron-Kerbosch with pivoting on the orthogonality graph restricted
-        to the mask w; masks in canonical order."""
+        to the mask w; masks in canonical order.  The recursion runs on an
+        explicit stack of frames (r, p, x, branch vertices not yet taken),
+        so no recursion limit bounds the clique size."""
         adj = [a & w for a in self._adj]
         out: list[int] = []
+        stack: list[tuple[int, int, int, int]] = []
 
-        def expand(r: int, p: int, x: int) -> None:
+        def enter(r: int, p: int, x: int) -> None:
             if not p and not x:
                 out.append(r)
                 if len(out) > limit:
@@ -287,12 +290,16 @@ class Orthoset:
                 return
             # pivot of highest degree in p, smallest index breaking ties
             pivot = max(_bits(p | x), key=lambda v: (adj[v] & p).bit_count())
-            for v in _bits(p & ~adj[pivot]):
-                expand(r | 1 << v, p & adj[v], x & adj[v])
-                p &= ~(1 << v)
-                x |= 1 << v
+            stack.append((r, p, x, p & ~adj[pivot]))
 
-        expand(0, w, 0)
+        enter(0, w, 0)
+        while stack:
+            r, p, x, todo = stack.pop()
+            if todo:
+                low = todo & -todo
+                v = low.bit_length() - 1
+                stack.append((r, p & ~low, x | low, todo ^ low))
+                enter(r | low, p & adj[v], x & adj[v])
         out.sort(key=_mask_key)
         return out
 
@@ -302,18 +309,27 @@ class Orthoset:
         return [frozenset(_bits(m)) for m in self._perp_set_masks(w, clique_budget(budget))]
 
     def _perp_set_masks(self, w: int, limit: int) -> list[int]:
-        """All perp-sets inside the mask w, as masks in canonical order."""
+        """All perp-sets inside the mask w, as masks in canonical order.
+        Depth first on an explicit stack of frames (clique, candidates not
+        yet tried), so no recursion limit bounds the clique size."""
+        adj = self._adj
         out: list[int] = []
+        stack: list[tuple[int, int]] = []
 
-        def extend(clique: int, candidates: int) -> None:
+        def enter(clique: int, candidates: int) -> None:
             out.append(clique)
             if len(out) > limit:
                 raise BudgetExceededError(f"perp-set enumeration exceeds budget of {limit}")
-            for v in _bits(candidates):
-                candidates &= ~(1 << v)  # the later candidates
-                extend(clique | 1 << v, candidates & self._adj[v])
+            stack.append((clique, candidates))
 
-        extend(0, w)
+        enter(0, w)
+        while stack:
+            clique, candidates = stack.pop()
+            if candidates:
+                low = candidates & -candidates
+                later = candidates ^ low
+                stack.append((clique, later))
+                enter(clique | low, later & adj[low.bit_length() - 1])
         out.sort(key=_mask_key)
         return out
 

@@ -8,9 +8,14 @@ over all ordered pairs of the domain, the diagonal included.
 The witness search is a deterministic backtracking over free domain
 elements in index order with values tried in index order, so the first
 witness found is the lexicographically least; it is one loop on an
-explicit stack, so no recursion limit bounds it.  Nonexistence is
-certified by a replayable refutation trace: the pruned branches with their
-violated pairs, which verify_refutation re-checks from x.adj alone.
+explicit stack, so no recursion limit bounds it.  Before it runs, each free
+element's agreement with the fixed points is looked up once: when some
+free element matches no value of the target (a root wipe-out), no map
+exists and the search is skipped.  Nonexistence is certified by a
+replayable refutation trace: an order of the free elements and the pruned
+branches with their violated pairs, one per value of the target on a
+wipe-out.  verify_refutation re-checks it from x.adj alone, in whatever
+order it was recorded.
 """
 from __future__ import annotations
 
@@ -51,9 +56,11 @@ class SasakiMapWitness:
 class RefutationTrace:
     """Certificate that no Sasaki map to `target` exists.
 
-    `free_order` lists the non-fixed domain elements in search order;
-    each entry is (prefix of values assigned to free_order, violated pair).
-    Every branch of the value tree ends in a recorded genuine violation.
+    `free_order` is a permutation of the non-fixed domain elements: index
+    order for a refuting search, the wiped element first on a root
+    wipe-out.  Each entry is (prefix of values assigned to free_order,
+    violated pair).  Every branch of the value tree ends in a recorded
+    genuine violation.
     """
 
     target: Subset
@@ -109,7 +116,7 @@ def is_sasaki_map(x: Orthoset, a: Subset, table: Mapping[int, int]) -> Verdict:
             raise MapDomainError(
                 f"value {x.labels[v]!r} of {x.labels[e]!r} escapes the target"
             )
-    for e in a:
+    for e in sorted(a):
         if table[e] != e:
             return Verdict(False, witness=("fixes-target", x.labels[e]))
     dom = sorted(domain)
@@ -125,14 +132,25 @@ class _MapSearch:
     free domain elements (outside a and its perp) take the elements of a in
     index order, one node per try.  Value v for e clashes with an assigned
     g when v orth g differs from e orth phi(g); the first such g in a, else
-    the first free one, is recorded with the pruned branch in `trace`."""
+    the first free one, is recorded with the pruned branch in `trace`.
+
+    A root wipe-out needs no deeper search: a free e whose signature
+    adj[e] & a is the signature of no value v in a clashes with every v at
+    the fixed points, so it is moved to the front of `free`, and the loop
+    records its |A| tries and backs out with no map."""
 
     def __init__(self, x: Orthoset, a: int, aperp: int, budget: int):
-        self.adj, self.a, self.budget = x._adj, a, budget
+        adj = self.adj = x._adj
+        self.a, self.budget = a, budget
         self.fixed = list(_bits(a))
         self.free = list(_bits(x._full & ~aperp & ~a))
         self.trace: list[tuple[tuple[int, ...], tuple[int, int]]] = []
         self.nodes = 0
+        signatures = {adj[v] & a for v in self.fixed}
+        for e in self.free:
+            if adj[e] & a not in signatures:
+                self.free = [e] + [f for f in self.free if f != e]
+                break
 
     def __iter__(self) -> Iterator[dict[int, int]]:
         adj, a, fixed, free, trace = self.adj, self.a, self.fixed, self.free, self.trace
@@ -193,41 +211,62 @@ def count_sasaki_maps(x: Orthoset, a: Subset, limit: int = 2,
 def verify_refutation(x: Orthoset, ref: RefutationTrace) -> bool:
     """Re-check a refutation trace independently of the search.
 
-    Confirms (1) every recorded conflict is a genuine adjointness violation
-    under its partial assignment, and (2) the pruned branches cover the
-    whole value tree, so no assignment escapes.
+    Confirms that the target is orthoclosed, that `free_order` is a
+    permutation of the free domain elements (no repeats, none missing, none
+    extra), that every recorded conflict is a genuine adjointness violation
+    between elements its prefix assigns, re-read from x.adj, and that the
+    recorded prefixes cover the whole value tree under that order: every
+    internal node, the root included, has all |A| children, each a leaf or
+    internal, and no full assignment is internal.
+
+    Why any order will do: a total assignment is a path from the root that
+    picks one value of A for each free element in `free_order`.  Coverage
+    means that path meets a leaf before it runs out of elements, and that
+    leaf's conflict is a pair whose values the path already fixes, so the
+    assignment breaks adjointness.  Every total assignment, read in any
+    order, is such a path, so no Sasaki map exists, whichever order the
+    trace was recorded in.
     """
-    if not x.is_orthoclosed(ref.target):
+    am = x._mask(ref.target)
+    aperp = x._perp(am)
+    if x._perp(aperp) != am:
         return False
     a = ref.target
     fixed = sorted(a)
-    free_expected = [e for e in sorted(x.universe - x.perp(a)) if e not in a]
-    if list(ref.free_order) != free_expected:
+    order = ref.free_order
+    position = {e: i for i, e in enumerate(order)}
+    free = set(_bits(x._full & ~aperp & ~am))
+    if len(position) != len(order) or position.keys() != free:
         return False
     adj = x.adj
-    leaves: dict[tuple[int, ...], tuple[int, int]] = {}
+
+    def value(e: int, prefix: tuple[int, ...]) -> int | None:
+        """phi(e) under the partial assignment, None when unassigned."""
+        if e in a:
+            return e
+        i = position.get(e)
+        return prefix[i] if i is not None and i < len(prefix) else None
+
+    leaves: set[tuple[int, ...]] = set()
     internal: set[tuple[int, ...]] = {()}
-    for prefix, pair in ref.entries:
-        if len(prefix) > len(ref.free_order) or prefix in leaves:
+    for prefix, (e, f) in ref.entries:
+        if len(prefix) > len(order) or prefix in leaves or not all(v in a for v in prefix):
             return False
-        leaves[prefix] = pair
-        for cut in range(len(prefix)):
-            internal.add(prefix[:cut])
-    for prefix, pair in leaves.items():
-        assign = {e: e for e in fixed}
-        for i, v in enumerate(prefix):
-            if v not in a:
-                return False
-            assign[ref.free_order[i]] = v
-        e, f = pair
-        if e not in assign or f not in assign:
+        leaves.add(prefix)
+        ve, vf = value(e, prefix), value(f, prefix)
+        if ve is None or vf is None:
             return False
-        ve, vf = assign[e], assign[f]
         if ((ve in adj[f]) == (e in adj[vf])) and ((vf in adj[e]) == (f in adj[ve])):
             return False  # claimed conflict is not real
+        # the proper prefixes, longest first; a known one has its own known
+        for cut in range(len(prefix) - 1, -1, -1):
+            node = prefix[:cut]
+            if node in internal:
+                break
+            internal.add(node)
     # coverage: every internal node must have all |A| children accounted for
     for node in internal:
-        if len(node) >= len(ref.free_order):
+        if len(node) >= len(order):
             return False  # a full assignment cannot be internal
         for v in fixed:
             child = node + (v,)

@@ -264,6 +264,30 @@ def test_sasaki_search_depth_is_not_limited(capsys, tmp_path):
     assert code == 0 and envelope_of(out)["result"]["count"] == 1
 
 
+def test_reduced_mode_on_a_large_clique_hits_the_clique_budget(capsys, tmp_path):
+    # every subset of K1050 is a perp-set; the enumeration is 1,050 deep
+    # and must stop at the clique budget, not at the recursion limit
+    path = tmp_path / "k1050.json"
+    path.write_text(json.dumps(corpus.generate("complete_graph", {"n": 1050}).to_json()))
+    code, out, err = run(capsys, ["sasaki", str(path), "--mode", "reduced"])
+    assert code == 3 and out == ""
+    assert "perp-set enumeration exceeds budget" in err and "Traceback" not in err
+
+
+def test_sasaki_wipe_out_nodes_count_against_the_node_budget(capsys, tmp_path):
+    # the target {x5, x6, x10} is refuted by a root wipe-out of x15: 3 nodes
+    x = corpus.generate("random_orthoset", {"n": 18, "p": 0.2}, seed=0)
+    path = tmp_path / "r18.json"
+    path.write_text(json.dumps(x.to_json()))
+    argv = ["sasaki", str(path), "--target", "x5,x6,x10", "--format", "json"]
+    code, _, err = run(capsys, argv + ["--node-budget", "2"])
+    assert code == 3 and "sasaki search exceeded 2 nodes" in err
+    code, out, _ = run(capsys, argv + ["--node-budget", "3"])
+    assert code == 0
+    result = envelope_of(out)["result"]
+    assert result["nodes"] == 3 and result["refutation_verified"] is True
+
+
 def test_sasaki_count_zero_limit_is_an_input_error(capsys, tmp_path):
     path = write_payload(tmp_path, "two_edges", "two_edges.json")
     code, out, err = run(capsys, ["sasaki", path, "--target", "a", "--count", "--limit", "0"])

@@ -193,6 +193,11 @@ def test_clique_budget_enforced():
         x.perp_sets(budget=3)
 
 
+def test_rank_of_a_clique_deeper_than_the_recursion_limit():
+    # Bron-Kerbosch descends once per clique element: 1,050 levels
+    assert corpus.generate("complete_graph", {"n": 1050}).rank() == 1050
+
+
 # ------------------------------------------------------------- predicates
 
 

@@ -85,6 +85,13 @@ def test_is_sasaki_map_flags_broken_fixes():
     assert not v.holds and v.witness[0] == "fixes-target"
 
 
+def test_is_sasaki_map_reports_the_first_broken_fixed_point_in_index_order():
+    x = corpus.generate("complete_graph", {"n": 9})
+    table = {0: 8, 8: 0}
+    for a in (frozenset([0, 8]), frozenset([8, 0])):
+        assert is_sasaki_map(x, a, table).witness == ("fixes-target", "x1")
+
+
 def test_is_sasaki_map_flags_adjointness_failure():
     x = x_of("horizontal_sum_atoms")
     a = x.subset(["b", "c"])
@@ -156,6 +163,72 @@ def test_tampered_refutation_rejected():
         ((ref.entries[0][0], forged_pair), ref.entries[1]),
     )
     assert not verify_refutation(x, forged)
+
+
+def hs_cd_refutation():
+    x = x_of("horizontal_sum_atoms")
+    ref = find_sasaki_map(x, x.subset(["c", "d"])).refutation
+    assert ref.free_order == (x.index("a"), x.index("a'"))
+    return x, ref
+
+
+def behind_every_value(ref):
+    """The one-value wipe-out entries, each behind every value of A given
+    first to another free element."""
+    return tuple(((u, v), pair) for u in sorted(ref.target) for (v,), pair in ref.entries)
+
+
+def test_refutation_in_another_order_is_accepted():
+    # the wipe-out of a, recorded under the order (a', a): each value of a'
+    # is tried first, then every value of a clashes as before
+    x, ref = hs_cd_refutation()
+    a, a2 = ref.free_order
+    deep = behind_every_value(ref)
+    assert len(deep) == 4
+    assert verify_refutation(x, RefutationTrace(ref.target, (a2, a), deep))
+    # prefixes read under an order they were not recorded in: the one-value
+    # prefixes then assign a', and the conflicts name the unassigned a
+    assert not verify_refutation(x, RefutationTrace(ref.target, (a2, a), ref.entries))
+
+
+def test_refutation_order_must_be_a_permutation_of_the_free_set():
+    x, ref = hs_cd_refutation()
+    a, a2 = ref.free_order
+    for order in [(a, a), (a, a2, a), (a,), (a2,), (a, a2, x.index("c")),
+                  (a, a2, x.index("b")), (a, a2, 99), ()]:
+        assert not verify_refutation(x, RefutationTrace(ref.target, order, ref.entries)), order
+    # a repeat that leaves every element a position the prefixes agree with
+    deep = behind_every_value(ref)
+    assert not verify_refutation(x, RefutationTrace(ref.target, (a2, a, a2), deep))
+
+
+def test_refutation_with_a_false_conflict_is_rejected():
+    # phi(a) = c agrees with the fixed point c, phi(a) = d with d, and the
+    # fixed points c, d agree with each other: none of these pairs clash
+    x, ref = hs_cd_refutation()
+    a = ref.free_order[0]
+    c, d = x.index("c"), x.index("d")
+    for i, pairs in enumerate([[(a, c), (c, d)], [(a, d), (d, c)]]):
+        for pair in pairs:
+            entries = list(ref.entries)
+            entries[i] = (entries[i][0], pair)
+            assert not verify_refutation(x, RefutationTrace(ref.target, ref.free_order, tuple(entries)))
+
+
+def test_wipe_out_refutation_has_one_entry_per_value():
+    x = corpus.generate("random_orthoset", {"n": 18, "p": 0.2}, seed=0)
+    v = find_sasaki_map(x, x.subset(["x5", "x6", "x10"]))
+    assert not v.exists and v.nodes == 3
+    ref = v.refutation
+    doc = ref.to_json(x)
+    assert doc["order"][0] == "x15" and len(doc["trace"]) == 3
+    assert sorted(doc["order"]) == sorted(
+        x.labels[e] for e in x.universe - x.perp(ref.target) - ref.target
+    )
+    assert verify_refutation(x, ref)
+    for i in range(len(ref.entries)):
+        dropped = ref.entries[:i] + ref.entries[i + 1:]
+        assert not verify_refutation(x, RefutationTrace(ref.target, ref.free_order, dropped))
 
 
 def test_count_maps_unique_on_point_closed_space():
