@@ -9,7 +9,10 @@ order-reversing involution satisfying the complement laws.
 Also here: the two bridges between orthosets and ortholattices (elements
 or atoms with x orthogonal to y iff x <= ortho(y), and the lattice of
 orthoclosed sets), the Dacey criterion, round-trip isomorphism checks, the
-covering/basic-elements biconditional, and Hasse-diagram DOT export.
+covering/basic-elements biconditional, and Hasse-diagram DOT export.  The
+isomorphism search runs on the orthoset module's bijection helper, a loop
+with no depth limit; check_lattice_iso certifies what it finds without
+sharing its code.
 """
 from __future__ import annotations
 
@@ -25,7 +28,8 @@ from .errors import (
     LatticeLawError,
     NotOrthomodularError,
 )
-from .orthoset import ClosureTable, Orthoset, Subset, Verdict, _bits, first_counterexample
+from .orthoset import (ClosureTable, Orthoset, Subset, Verdict, _bits, _first_bijection,
+                       first_counterexample)
 
 
 class OrthoLattice:
@@ -431,46 +435,28 @@ def check_lattice_iso(a: OrthoLattice, b: OrthoLattice, table: tuple[int, ...]) 
 
 
 def find_lattice_iso(a: OrthoLattice, b: OrthoLattice) -> LatticeIso | None:
-    """Backtracking search for an ortholattice isomorphism (small lattices)."""
+    """Backtracking search for an ortholattice isomorphism: the elements of
+    a by (down-set size, up-set size, index), each trying the elements of b
+    by index, the first table found."""
     if a.n != b.n:
         return None
 
     def profile(lat: OrthoLattice, i: int) -> tuple[int, int]:
-        return (bin(lat.down[i]).count("1"), bin(lat.up[i]).count("1"))
+        return (lat.down[i].bit_count(), lat.up[i].bit_count())
 
     bp = [profile(b, j) for j in range(b.n)]
     order = sorted(range(a.n), key=lambda i: (profile(a, i), i))
-    img = [-1] * a.n
-    used = [False] * b.n
 
-    def ok(i: int, j: int) -> bool:
-        if bp[j] != profile(a, i):
-            return False
-        oi = a.ortho[i]
-        if img[oi] >= 0 and img[oi] != b.ortho[j]:
-            return False
-        for k in range(a.n):
-            if img[k] >= 0 and (a.leq(i, k) != b.leq(j, img[k]) or a.leq(k, i) != b.leq(img[k], j)):
-                return False
-        return True
+    def fits(img: list[int], i: int, j: int) -> bool:
+        return bp[j] == profile(a, i) and img[a.ortho[i]] in (-1, b.ortho[j]) and all(
+            img[k] < 0 or (a.leq(i, k) == b.leq(j, img[k]) and a.leq(k, i) == b.leq(img[k], j))
+            for k in range(a.n)
+        )
 
-    def search(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        i = order[pos]
-        for j in range(b.n):
-            if not used[j] and ok(i, j):
-                img[i] = j
-                used[j] = True
-                if search(pos + 1):
-                    return True
-                img[i] = -1
-                used[j] = False
-        return False
-
-    if not search(0):
+    table = _first_bijection(a.n, [(i, range(b.n)) for i in order], fits)
+    if table is None:
         return None
-    iso = LatticeIso(tuple(img), a.labels, b.labels)
+    iso = LatticeIso(tuple(table), a.labels, b.labels)
     assert check_lattice_iso(a, b, iso.table).holds
     return iso
 

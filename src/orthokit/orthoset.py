@@ -12,12 +12,15 @@ unchecked kernel, Orthoset._perp, computes every perp.  The canonical order
 on subsets, used everywhere a deterministic enumeration is promised, is
 (cardinality, lexicographic on sorted indices).  Predicates that read many
 closures of one orthoset go through a ClosureTable: the family indexed by
-canonical position.
+canonical position.  Every search here (perp-set enumeration,
+Bron-Kerbosch, and the bijection search under is_transitive and the
+lattice isomorphism search) is a loop on an explicit stack, so no
+recursion limit bounds it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .config import automorphism_bound, clique_budget, family_budget
 from .errors import BudgetExceededError, InputError, InvalidSubsetError
@@ -72,6 +75,41 @@ def first_counterexample(
     return Verdict(False, witness=render(w))
 
 
+def _first_bijection(
+    n: int,
+    steps: Sequence[tuple[int, Iterable[int]]],
+    fits: Callable[[list[int], int, int], bool],
+) -> list[int] | None:
+    """The first bijection img of range(n) found depth first, or None.
+
+    Step k = (u, candidates) gives u the first candidate v, in the order
+    given, that no earlier step holds and that fits(img, u, v) accepts;
+    img maps the earlier steps' elements and holds -1 elsewhere.  When a
+    step runs out of candidates, the previous step moves on to its next
+    one.  The steps must name every element once.  One loop on an
+    explicit stack of candidate iterators, so no recursion limit bounds
+    the depth."""
+    img, used = [-1] * n, [False] * n
+    tries: list[Iterator[int]] = []  # tries[k]: the candidates step k has left
+    k = 0
+    while k < len(steps):
+        u, candidates = steps[k]
+        if len(tries) == k:
+            tries.append(iter(candidates))
+        else:  # back at step k: free the value it held
+            used[img[u]], img[u] = False, -1
+        v = next((v for v in tries[k] if not used[v] and fits(img, u, v)), None)
+        if v is not None:
+            img[u], used[v] = v, True
+            k += 1
+        elif k == 0:
+            return None
+        else:
+            tries.pop()
+            k -= 1
+    return img
+
+
 @dataclass
 class PropertyReport:
     """Bundle of per-predicate verdicts for one orthoset."""
@@ -124,8 +162,6 @@ class Orthoset:
         """Build from labels and orthogonal label pairs."""
         labs = tuple(labels)
         index = {lab: i for i, lab in enumerate(labs)}
-        if len(index) != len(labs):
-            raise InputError("duplicate element label")
         nbrs: list[set[int]] = [set() for _ in labs]
         for a, b in pairs:
             if a not in index:
@@ -391,53 +427,21 @@ class Orthoset:
         return Verdict(True, witness=certificates or None)
 
     def _automorphism_fixing(self, e: int, f: int) -> list[int] | None:
-        """Adjacency-preserving bijection with tau(e) = f, fixing adj[e] & adj[f]."""
-        n = self.n
-        adj = self._adj
+        """Adjacency-preserving bijection with tau(e) = f, fixing adj[e] & adj[f]:
+        the first one found placing e, then the fixed points, then the other
+        elements by index, each trying its values by index."""
+        n, adj = self.n, self._adj
         deg = [a.bit_count() for a in adj]
-        img: list[int] = [-1] * n
-        used = [False] * n
+        fixed = adj[e] & adj[f]
+        steps = [(e, (f,)), *((x, (x,)) for x in _bits(fixed)),
+                 *((u, range(n)) for u in _bits(self._full & ~fixed & ~(1 << e)))]
 
-        def consistent(u: int, v: int) -> bool:
-            if deg[u] != deg[v]:
-                return False
-            for w in range(n):
-                if img[w] >= 0 and (adj[u] >> w & 1) != (adj[v] >> img[w] & 1):
-                    return False
-            return True
+        def fits(img: list[int], u: int, v: int) -> bool:
+            return deg[u] == deg[v] and all(
+                img[w] < 0 or (adj[u] >> w & 1) == (adj[v] >> img[w] & 1) for w in range(n)
+            )
 
-        def place(u: int, v: int) -> bool:
-            if img[u] >= 0:
-                return img[u] == v
-            if used[v] or not consistent(u, v):
-                return False
-            img[u] = v
-            used[v] = True
-            return True
-
-        if not place(e, f):
-            return None
-        for x in _bits(adj[e] & adj[f]):
-            if not place(x, x):
-                return None
-
-        rest = [u for u in range(n) if img[u] < 0]
-
-        def search(k: int) -> bool:
-            if k == len(rest):
-                return True
-            u = rest[k]
-            for v in range(n):
-                if not used[v] and consistent(u, v):
-                    img[u] = v
-                    used[v] = True
-                    if search(k + 1):
-                        return True
-                    img[u] = -1
-                    used[v] = False
-            return False
-
-        return img if search(0) else None
+        return _first_bijection(n, steps, fits)
 
     # ----------------------------------------------------------------- misc
 

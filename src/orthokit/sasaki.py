@@ -280,27 +280,28 @@ def verify_refutation(x: Orthoset, ref: RefutationTrace) -> bool:
 
 @dataclass
 class ShortcutResult:
-    clause: str  # "a": perp(A) is the complement; "b": complement of perp(A)
-    # is a perp-set; "c": A is a singleton
+    clause: str  # "a": perp(A) is the complement of A; "c": A is a singleton.
+    # No clause "b" (the complement of perp(A) a perp-set): it implies (a).
     witness: SasakiMapWitness
 
 
 def shortcut_construct(x: Orthoset, a: Subset) -> ShortcutResult | None:
-    """Closed-form Sasaki maps for the three easy target shapes.
+    """Closed-form Sasaki maps for the two easy target shapes, kept as a
+    cross-check on the search.
 
     (a) perp(A) = complement of A: the identity on A.
-    (b) the complement of perp(A) is a perp-set: reduces to (a).
     (c) A a singleton: the constant map.
-    Returns None when no clause applies.
+    Returns None when neither applies.
+
+    A third shape, the domain D = complement of perp(A) being a perp-set,
+    needs no clause of its own.  D contains A (no element is orthogonal to
+    itself), so an e in D outside A would be orthogonal to all of A, hence
+    in perp(A) and not in D.  So D = A, and (a) applies.
     """
     am, aperp = _require_orthoclosed(x, a)
-    dom = x._full & ~aperp
-    domain = list(_bits(dom))
+    domain = list(_bits(x._full & ~aperp))
     if aperp == x._full & ~am:
         return ShortcutResult("a", SasakiMapWitness(a, {e: e for e in domain}))
-    if all(dom & ~x._adj[e] == 1 << e for e in domain):
-        # a perp-set complement forces perp(A) to be the complement of A
-        return ShortcutResult("b", SasakiMapWitness(a, {e: e for e in domain}))
     if am.bit_count() == 1:
         return ShortcutResult("c", SasakiMapWitness(a, dict.fromkeys(domain, am.bit_length() - 1)))
     return None

@@ -6,7 +6,7 @@ pruned implementations.
 """
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from orthokit import Orthoset, Subset, subset_key
 
@@ -66,6 +66,45 @@ def sasaki_maps_by_scan(x: Orthoset, a: Subset) -> list[dict]:
         ):
             out.append(phi)
     return out
+
+
+def automorphism_by_scan(x: Orthoset, e: int, f: int) -> list | None:
+    """The first automorphism of x that sends e to f and fixes every
+    element orthogonal to both, as a value list, or None: e and the fixed
+    points are placed first, and the other elements take the remaining
+    values through itertools.permutations, in index order.  The relation is
+    read off x.adj alone."""
+    fixed = sorted(x.adj[e] & x.adj[f])
+    rest = [u for u in range(x.n) if u != e and u not in fixed]
+    values = [v for v in range(x.n) if v != f and v not in fixed]
+    for image in permutations(values):
+        img = {e: f, **{u: u for u in fixed}, **dict(zip(rest, image))}
+        if all((w in x.adj[u]) == (img[w] in x.adj[img[u]]) for u in range(x.n) for w in range(x.n)):
+            return [img[u] for u in range(x.n)]
+    return None
+
+
+def lattice_iso_by_scan(a, b) -> tuple | None:
+    """The first isomorphism of ortholattices from a to b, as a table, or
+    None: the elements of a in order of (number below, number above,
+    index) take the elements of b through itertools.permutations, and a
+    table is kept when it preserves and reflects the order and commutes
+    with ortho.  Only lat.leq and lat.ortho are read."""
+    if a.n != b.n:
+        return None
+    n = range(a.n)
+
+    def profile(i):
+        return (sum(a.leq(k, i) for k in n), sum(a.leq(i, k) for k in n))
+
+    order = sorted(n, key=lambda i: (profile(i), i))
+    for image in permutations(range(b.n)):
+        img = dict(zip(order, image))
+        if all(img[a.ortho[i]] == b.ortho[img[i]] for i in n) and all(
+            a.leq(i, j) == b.leq(img[i], img[j]) for i in n for j in n
+        ):
+            return tuple(img[i] for i in n)
+    return None
 
 
 def finch_laws_by_scan(x: Orthoset, family: list[Subset], witnesses) -> dict:

@@ -141,6 +141,13 @@ def test_unknown_fixture_is_an_input_error(capsys):
     assert code == 2 and "pentagon" in err
 
 
+def test_duplicate_label_is_an_input_error_that_names_it(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"elements": ["a", "b", "a"], "orthogonal": [["a", "b"]]}))
+    code, out, err = run(capsys, ["check", str(path)])
+    assert code == 2 and out == "" and err == "error: duplicate element label 'a'\n"
+
+
 def test_tiny_family_budget_exceeds(capsys, tmp_path):
     path = write_payload(tmp_path, "complete4", "k4.json")
     code, _, err = run(capsys, ["check", path, "--family-budget", "3"])
@@ -264,14 +271,63 @@ def test_sasaki_search_depth_is_not_limited(capsys, tmp_path):
     assert code == 0 and envelope_of(out)["result"]["count"] == 1
 
 
-def test_reduced_mode_on_a_large_clique_hits_the_clique_budget(capsys, tmp_path):
-    # every subset of K1050 is a perp-set; the enumeration is 1,050 deep
-    # and must stop at the clique budget, not at the recursion limit
-    path = tmp_path / "k1050.json"
-    path.write_text(json.dumps(corpus.generate("complete_graph", {"n": 1050}).to_json()))
-    code, out, err = run(capsys, ["sasaki", str(path), "--mode", "reduced"])
-    assert code == 3 and out == ""
-    assert "perp-set enumeration exceeds budget" in err and "Traceback" not in err
+@pytest.fixture(scope="module")
+def large_inputs(tmp_path_factory):
+    """K1050 (every subset is a perp-set), 1,100 elements with one
+    orthogonal pair, and the lattice MO500 (1,002 elements)."""
+    d = tmp_path_factory.mktemp("large")
+    docs = {
+        "k1050": corpus.generate("complete_graph", {"n": 1050}).to_json(),
+        "pair1100": {"elements": [f"x{i}" for i in range(1100)], "orthogonal": [["x0", "x1"]]},
+        "mo500": corpus.mo_lattice(500, cap=2000).to_json(),
+    }
+    for name, doc in docs.items():
+        (d / f"{name}.json").write_text(json.dumps(doc))
+    return d
+
+
+LARGE_COMMANDS = {
+    "check": ["check"],
+    "sasaki": ["sasaki"],
+    "reduced": ["sasaki", "--mode", "reduced"],
+    "finch": ["finch"],
+    "roundtrip": ["lattice", "--roundtrip"],
+    "oml": ["oml"],
+    "project": ["oml", "--project", "x1"],
+}
+# case, input, extra flags, and the exit code of each command; plain oml
+# is left out under the raised cap, where its law (d) scan is n^3
+LARGE_CASES = [
+    ("k1050", "k1050", [], dict(check=3, sasaki=3, reduced=3, finch=3, roundtrip=3, oml=2, project=2)),
+    ("pair1100", "pair1100", [], dict(check=0, sasaki=0, reduced=0, finch=0, roundtrip=0, oml=2, project=2)),
+    ("mo500-cap2000", "mo500", ["--lattice-cap", "2000"],
+     dict(check=2, sasaki=2, reduced=2, finch=2, roundtrip=0, project=0)),
+    ("mo500", "mo500", [], dict(check=2, sasaki=2, reduced=2, finch=2, roundtrip=3, oml=3, project=3)),
+]
+
+
+@pytest.mark.parametrize(
+    "case, doc, extra, command, expected",
+    [(case, doc, extra, command, code)
+     for case, doc, extra, codes in LARGE_CASES for command, code in codes.items()],
+    ids=[f"{case}-{command}" for case, _, _, codes in LARGE_CASES for command in codes],
+)
+def test_large_inputs_end_in_an_exit_code(capsys, large_inputs, case, doc, extra, command, expected):
+    # inputs past the default recursion limit answer, or stop at a budget
+    # or an input error, and never crash
+    argv = [*LARGE_COMMANDS[command], str(large_inputs / f"{doc}.json"), *extra]
+    if (case, command) == ("pair1100", "check"):
+        argv += ["--automorphism-bound", "2000"]
+    code, out, err = run(capsys, argv)
+    assert code == expected and "Traceback" not in err
+    if code:
+        assert out == ""
+    if (case, command) == ("k1050", "reduced"):
+        # every subset of K1050 is a perp-set; the enumeration is 1,050
+        # deep and must stop at the clique budget, not at the recursion limit
+        assert "perp-set enumeration exceeds budget" in err
+    if (case, command) == ("pair1100", "check"):
+        assert 'transitive: no  [witness: ["x0", "x2"]]' in out.splitlines()
 
 
 def test_sasaki_wipe_out_nodes_count_against_the_node_budget(capsys, tmp_path):

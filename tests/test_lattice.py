@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,7 +28,7 @@ from orthokit import (
 )
 from orthokit import corpus, lattice
 
-from oracles import basic_to_basic_by_scan, covering_by_scan, meet_join_by_scan
+from oracles import basic_to_basic_by_scan, covering_by_scan, lattice_iso_by_scan, meet_join_by_scan
 
 
 def lat_of(name):
@@ -407,6 +409,38 @@ def test_check_lattice_iso_rejects_wrong_table():
     bad = list(range(lat.n))
     bad[lat.bottom], bad[lat.index("p")] = bad[lat.index("p")], bad[lat.bottom]
     assert not check_lattice_iso(lat, lat, tuple(bad)).holds
+
+
+def relabelled(lat, seed):
+    """lat with its elements moved to shuffled indices."""
+    rng = random.Random(seed)
+    old = list(range(lat.n))
+    rng.shuffle(old)  # new index k holds element old[k]
+    new = {o: k for k, o in enumerate(old)}
+    up = [sum(1 << new[j] for j in range(lat.n) if lat.leq(o, j)) for o in old]
+    return lattice.OrthoLattice([lat.labels[o] for o in old], up, [new[lat.ortho[o]] for o in old])
+
+
+def test_find_lattice_iso_matches_the_scan_oracle():
+    # every ordered pair of equal size among the lattices of at most 8
+    # elements and their relabellings: the same table, or None for both
+    lats = [corpus.boolean_lattice(n) for n in range(1, 4)]
+    lats += [corpus.mo_lattice(n) for n in range(1, 4)]
+    lats += [corpus.horizontal_sum(corpus.boolean_lattice(2), corpus.boolean_lattice(2))]
+    lats += [lat_of(name) for name in ("benzene", "boolean2", "boolean3", "mo2")]
+    lats += [relabelled(lat, seed) for seed, lat in enumerate(lats)]
+    for a in lats:
+        for b in lats:
+            if a.n == b.n:
+                iso = find_lattice_iso(a, b)
+                assert (iso and iso.table) == lattice_iso_by_scan(a, b)
+
+
+def test_lattice_iso_search_depth_is_not_limited():
+    # one level per element: 1,024, above the default recursion limit
+    b10 = corpus.boolean_lattice(10, cap=2000)
+    iso = find_lattice_iso(b10, b10)
+    assert iso is not None and check_lattice_iso(b10, b10, iso.table).holds
 
 
 # -------------------------------------------------------------------- dot

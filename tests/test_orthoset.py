@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +13,13 @@ from orthokit import (
 from orthokit import corpus
 from orthokit.orthoset import ClosureTable
 
-from oracles import family_by_scan, maximal_cliques_by_scan, perp_by_scan, rank_by_scan
+from oracles import (
+    automorphism_by_scan,
+    family_by_scan,
+    maximal_cliques_by_scan,
+    perp_by_scan,
+    rank_by_scan,
+)
 
 
 @st.composite
@@ -251,3 +259,22 @@ def test_transitive_bound_enforced():
     x = corpus.generate("complete_graph", {"n": 4})
     with pytest.raises(BudgetExceededError):
         x.is_transitive(bound=3)
+
+
+@given(orthosets(max_n=5))
+def test_transitive_matches_the_scan_oracle(x):
+    # verdict, witness and every certificate: the first automorphism of
+    # each ordered pair, in the order e, fixed points, rest by index
+    certificates = {}
+    for e, f in permutations(range(x.n), 2):
+        tau = automorphism_by_scan(x, e, f)
+        if tau is None:
+            expected = (False, (x.labels[e], x.labels[f]))
+            break
+        certificates[(x.labels[e], x.labels[f])] = {
+            x.labels[i]: x.labels[tau[i]] for i in range(x.n)
+        }
+    else:
+        expected = (True, certificates or None)
+    v = x.is_transitive()
+    assert (v.holds, v.witness) == expected
