@@ -1,10 +1,14 @@
 """Exact Hermitian spaces over the rationals and the Gaussian rationals.
 
 Scalars are fractions.Fraction (field "Q", identity involution) or
-GaussianRational (field "Qi", complex conjugation).  The form is linear in
-the first argument and star-linear in the second.  Anisotropy is certified
-by Sylvester's criterion: positive leading principal minors, computed on
-the realified form in the Gaussian case.
+GaussianRational (field "Qi", complex conjugation).  A GaussianRational is
+stored as a reduced integer triple (a, b, d) for (a + b*i)/d, so each of
+its operations costs one gcd, where a pair of Fractions would cost several.
+The form is linear in the first argument and star-linear in the second;
+inner sums its terms as integer numerators over one running common
+denominator and reduces once per call, on both fields.  Anisotropy is
+certified by Sylvester's criterion: positive leading principal minors,
+computed on the realified form in the Gaussian case.
 
 Subspaces are kept in reduced row echelon form, which makes equality
 syntactic; a line is a one-dimensional subspace whose representative row
@@ -20,7 +24,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Sequence, Union
 
 from .errors import (
@@ -33,12 +39,38 @@ from .errors import (
 from .orthoset import Orthoset
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """a + b*i with rational a, b; arithmetic and conjugation are exact."""
+    """a + b*i with rational a, b; arithmetic and conjugation are exact.
 
-    re: Fraction
-    im: Fraction
+    Stored as three ints (a, b, d) standing for (a + b*i)/d, with d > 0 and
+    gcd(a, b, d) = 1.  That form is canonical, so equality is equality of
+    the triples, and every sum, difference, product and quotient costs one
+    gcd; negation and conjugation keep the form and cost none.  Like
+    Fraction, the value is immutable by convention: the triple sits in
+    private slots, and `re` and `im` are read-only Fraction views.  A value
+    with no imaginary part equals, and hashes like, its Fraction (its int
+    when d = 1).
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: Fraction | int, im: Fraction | int):
+        re, im = Fraction(re), Fraction(im)
+        # the triple over lcm(q, s) of p/q and r/s in lowest terms is already
+        # reduced: a prime dividing d divides q (say) to the full power, so
+        # it cannot divide a = p * (d // q)
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def of(value: Union["GaussianRational", Fraction, int]) -> "GaussianRational":
@@ -46,54 +78,84 @@ class GaussianRational:
             return value
         return GaussianRational(Fraction(value), Fraction(0))
 
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
     def __add__(self, other: Any) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        d, e = self._d, other._d
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: Any) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        d, e = self._d, other._d
+        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other: Any) -> "GaussianRational":
         return GaussianRational.of(other) - self
 
     def __mul__(self, other: Any) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Any) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        norm = o.re * o.re + o.im * o.im
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        c, e = other._a, other._b
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
+        # (a + b i)/d divided by (c + e i)/f is (a + b i)(c - e i) f / (d norm)
+        a, b, f = self._a, self._b, other._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other: Any) -> bool:
-        if isinstance(other, (GaussianRational, Fraction, int)):
-            o = GaussianRational.of(other)
-            return self.re == o.re and self.im == o.im
+        if type(other) is GaussianRational:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, (Fraction, int)):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(Fraction(self._a, self._d))
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
+
+
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """The Gaussian rational (a + b*i)/d, for a triple already in lowest terms."""
+    g = _new(GaussianRational)
+    g._a, g._b, g._d = a, b, d
+    return g
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The Gaussian rational (a + b*i)/d for any d > 0: one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _triple(a, b, d)
 
 
 Scalar = Union[Fraction, GaussianRational]
@@ -167,11 +229,11 @@ def star(value: Scalar) -> Scalar:
 
 
 def _zero(field: str) -> Scalar:
-    return Fraction(0) if field == "Q" else GaussianRational(Fraction(0), Fraction(0))
+    return Fraction(0) if field == "Q" else _triple(0, 0, 1)
 
 
 def _one(field: str) -> Scalar:
-    return Fraction(1) if field == "Q" else GaussianRational(Fraction(1), Fraction(0))
+    return Fraction(1) if field == "Q" else _triple(1, 0, 1)
 
 
 # ------------------------------------------------------- exact linear algebra
@@ -247,6 +309,11 @@ class HermitianSpace:
     def zero_vector(self) -> Vector:
         return tuple(_zero(self.field) for _ in range(self.dim))
 
+    @cached_property
+    def _gram_parts(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """The gram entries as integer triples, read by inner."""
+        return tuple(tuple(_parts(v) for v in row) for row in self.gram)
+
 
 def make_space(gram: Sequence[Sequence[Any]], field: str) -> HermitianSpace:
     """Validate a gram matrix: star-symmetry plus the positivity certificate.
@@ -278,7 +345,7 @@ def _coerce(value: Any, field: str) -> Scalar:
         if isinstance(value, GaussianRational):
             raise InputError("Gaussian scalar in a rational space")
         return Fraction(value)
-    return GaussianRational.of(value if isinstance(value, (GaussianRational, Fraction, int)) else Fraction(value))
+    return GaussianRational.of(value)
 
 
 def _sylvester(gram: list[list[Scalar]], field: str) -> None:
@@ -328,18 +395,41 @@ def format_vector(vec: Vector) -> list[str]:
 
 
 def inner(space: HermitianSpace, x: Vector, y: Vector) -> Scalar:
-    """The form: linear in x, star-linear in y."""
+    """The form: linear in x, star-linear in y.
+
+    The terms x_i g_ij star(y_j) are summed as integer real and imaginary
+    numerators over one running common denominator (the lcm of the terms'
+    denominators), and the sum is reduced once: a Fraction on Q, a
+    GaussianRational on Qi.
+    """
     if len(x) != space.dim or len(y) != space.dim:
         raise DimensionMismatchError("vector length does not match the space dimension")
-    acc = _zero(space.field)
-    for i, xi in enumerate(x):
-        if not xi:
+    ys = [_parts(v) for v in y]
+    a, b, den = 0, 0, 1
+    for xi, row in zip(x, space._gram_parts):
+        xa, xb, xd = _parts(xi)
+        if not (xa or xb):
             continue
-        row = space.gram[i]
-        for j, yj in enumerate(y):
-            if yj:
-                acc = acc + xi * row[j] * star(yj)
-    return acc
+        for (ga, gb, gd), (ya, yb, yd) in zip(row, ys):
+            if ya or yb:
+                # u = x_i g_ij, then the term u star(y_j); on Q every b is 0
+                ua, ub = xa * ga - xb * gb, xa * gb + xb * ga
+                ta, tb, td = ua * ya + ub * yb, ub * ya - ua * yb, xd * gd * yd
+                if td == den:
+                    a += ta
+                    b += tb
+                else:
+                    q = gcd(den, td)
+                    m, k = td // q, den // q
+                    a, b, den = a * m + ta * k, b * m + tb * k, k * td
+    return Fraction(a, den) if space.field == "Q" else _reduced(a, b, den)
+
+
+def _parts(v: Scalar | int) -> tuple[int, int, int]:
+    """The (a, b, d) of a scalar of either field: (a + b*i)/d in lowest terms."""
+    if type(v) is GaussianRational:
+        return v._a, v._b, v._d
+    return v.numerator, 0, v.denominator
 
 
 # ---------------------------------------------------------------- subspaces

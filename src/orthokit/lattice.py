@@ -258,9 +258,12 @@ class CoveringReport:
 def atoms_and_covering(lat: OrthoLattice) -> CoveringReport:
     """Atoms, atomisticity, and the covering property with witnesses."""
     atom_set = lat.atoms
+    atom_mask = sum(1 << a for a in atom_set)
+    up, down, join = lat.up, lat.down, lat.join_t
+    # the atoms below x, and those not below it, lowest index first
     atomistic = first_counterexample(
         ((x,) for x in range(lat.n)
-         if reduce(lat.join, (a for a in atom_set if lat.leq(a, x)), lat.bottom) != x),
+         if reduce(lat.join, _bits(down[x] & atom_mask), lat.bottom) != x),
         lambda w: lat.labels[w[0]],
     )
 
@@ -271,8 +274,9 @@ def atoms_and_covering(lat: OrthoLattice) -> CoveringReport:
         return (lat.labels[x], lat.labels[a], lat.labels[blocker])
 
     covering = first_counterexample(
-        ((x, a) for x in range(lat.n) for a in atom_set
-         if lat.meet(a, x) == lat.bottom and not lat.covers(x, lat.join(x, a))),
+        # x v a covers x iff up[x] & down[x v a] holds only x and x v a
+        ((x, a) for x in range(lat.n) for a in _bits(atom_mask & ~down[x])
+         if up[x] & down[(z := join[x][a])] != 1 << x | 1 << z),
         with_blocker,
     )
     return CoveringReport(

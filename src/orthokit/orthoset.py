@@ -414,11 +414,12 @@ class Orthoset:
                 f"transitivity search limited to {limit} elements, |X| = {self.n}"
             )
         certificates: dict[tuple[str, str], dict[str, str]] = {}
+        deg = [a.bit_count() for a in self._adj]
         for e in range(self.n):
             for f in range(self.n):
                 if e == f:
                     continue  # identity settles the diagonal
-                tau = self._automorphism_fixing(e, f)
+                tau = self._automorphism_fixing(e, f, deg)
                 if tau is None:
                     return Verdict(False, witness=(self.labels[e], self.labels[f]))
                 certificates[(self.labels[e], self.labels[f])] = {
@@ -426,20 +427,27 @@ class Orthoset:
                 }
         return Verdict(True, witness=certificates or None)
 
-    def _automorphism_fixing(self, e: int, f: int) -> list[int] | None:
+    def _automorphism_fixing(self, e: int, f: int, deg: list[int]) -> list[int] | None:
         """Adjacency-preserving bijection with tau(e) = f, fixing adj[e] & adj[f]:
         the first one found placing e, then the fixed points, then the other
-        elements by index, each trying its values by index."""
+        elements by index, each trying its values by index.  deg[u] is the
+        number of elements orthogonal to u; none exists when e and f differ
+        in it."""
+        if deg[e] != deg[f]:
+            return None
         n, adj = self.n, self._adj
-        deg = [a.bit_count() for a in adj]
         fixed = adj[e] & adj[f]
         steps = [(e, (f,)), *((x, (x,)) for x in _bits(fixed)),
                  *((u, range(n)) for u in _bits(self._full & ~fixed & ~(1 << e)))]
 
         def fits(img: list[int], u: int, v: int) -> bool:
-            return deg[u] == deg[v] and all(
-                img[w] < 0 or (adj[u] >> w & 1) == (adj[v] >> img[w] & 1) for w in range(n)
-            )
+            if deg[u] != deg[v]:
+                return False
+            au, av = adj[u], adj[v]
+            for w, x in enumerate(img):
+                if x >= 0 and (au >> w & 1) != (av >> x & 1):
+                    return False
+            return True
 
         return _first_bijection(n, steps, fits)
 

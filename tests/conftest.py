@@ -18,7 +18,8 @@ hypothesis.settings.load_profile("deterministic")
 def count_calls(monkeypatch):
     """count_calls(module, name) wraps the function module.name in every
     orthokit module that binds it, the imports by name included, and returns
-    the list that receives the arguments of each call."""
+    the list that receives the arguments of each call.  count_calls(cls,
+    name) wraps the method cls.name the same way."""
     def install(module, name):
         original = getattr(module, name)
         calls = []
@@ -27,6 +28,9 @@ def count_calls(monkeypatch):
             calls.append(args)
             return original(*args, **kwargs)
 
+        if isinstance(module, type):
+            monkeypatch.setattr(module, name, counted)
+            return calls
         for modname, mod in list(sys.modules.items()):
             if modname.split(".")[0] == "orthokit" and vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counted)

@@ -1,12 +1,17 @@
 """Independent slow oracles used to cross-check the library.
 
-Everything here recomputes from raw adjacency by full enumeration over
-subset bitmasks; none of it shares code with the package's budgeted or
-pruned implementations.
+The orthoset and lattice oracles recompute from raw adjacency or the
+order relation by full enumeration over subset bitmasks; none of it shares
+code with the package's budgeted or pruned implementations.  The Hermitian
+oracles are the two-Fraction Gaussian rational the package used before its
+integer triples, and the form as a plain double sum over Fractions.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Any, Union
 
 from orthokit import Orthoset, Subset, subset_key
 
@@ -244,3 +249,94 @@ def meet_join_by_scan(lat):
         "top": top,
         "heights": [height(x) for x in n],
     }
+
+
+# ------------------------------------------------------------------ Hermitian
+
+
+@dataclass(frozen=True)
+class GaussianRational:
+    """a + b*i with rational a, b; arithmetic and conjugation are exact."""
+
+    re: Fraction
+    im: Fraction
+
+    @staticmethod
+    def of(value: Union["GaussianRational", Fraction, int]) -> "GaussianRational":
+        if isinstance(value, GaussianRational):
+            return value
+        return GaussianRational(Fraction(value), Fraction(0))
+
+    def __add__(self, other: Any) -> "GaussianRational":
+        o = GaussianRational.of(other)
+        return GaussianRational(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: Any) -> "GaussianRational":
+        o = GaussianRational.of(other)
+        return GaussianRational(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other: Any) -> "GaussianRational":
+        return GaussianRational.of(other) - self
+
+    def __mul__(self, other: Any) -> "GaussianRational":
+        o = GaussianRational.of(other)
+        return GaussianRational(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: Any) -> "GaussianRational":
+        o = GaussianRational.of(other)
+        norm = o.re * o.re + o.im * o.im
+        if norm == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return GaussianRational(
+            (self.re * o.re + self.im * o.im) / norm,
+            (self.im * o.re - self.re * o.im) / norm,
+        )
+
+    def __neg__(self) -> "GaussianRational":
+        return GaussianRational(-self.re, -self.im)
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, (GaussianRational, Fraction, int)):
+            o = GaussianRational.of(other)
+            return self.re == o.re and self.im == o.im
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational(self.re, -self.im)
+
+
+def _re_im(v) -> tuple[Fraction, Fraction]:
+    """Real and imaginary part of a scalar of either field, read through
+    the public `re` and `im` of a Gaussian rational."""
+    if isinstance(v, (Fraction, int)):
+        return Fraction(v), Fraction(0)
+    return v.re, v.im
+
+
+def inner_by_sum(space, x, y) -> tuple[Fraction, Fraction]:
+    """The form sum_ij x_i g_ij star(y_j) as (real part, imaginary part),
+    each a plain Fraction double sum over every pair (i, j)."""
+    re = im = Fraction(0)
+    for i in range(space.dim):
+        xr, xi = _re_im(x[i])
+        for j in range(space.dim):
+            gr, gi = _re_im(space.gram[i][j])
+            yr, yi = _re_im(y[j])
+            if space.field == "Qi":
+                yi = -yi
+            ur, ui = xr * gr - xi * gi, xr * gi + xi * gr
+            re += ur * yr - ui * yi
+            im += ur * yi + ui * yr
+    return re, im

@@ -3,6 +3,7 @@
 # Sasaki map on lines.  Everything here is exact rational arithmetic, so
 # every equality assertion is literal, never approximate.
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,8 @@ from orthokit import (
     sum_subspaces,
     zero_subspace,
 )
+from orthokit.hermitian import random_space
+from oracles import GaussianRational as PairGaussian, inner_by_sum
 
 
 def gaussians():
@@ -89,6 +92,103 @@ def test_gaussian_mixes_with_ints_and_fractions():
     assert 2 * i == GaussianRational(Fraction(0), Fraction(2))
     assert i - Fraction(1, 2) == GaussianRational(Fraction(-1, 2), Fraction(1))
     assert i * i == -1
+
+
+def fractions_():
+    return st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+def pair(z):
+    """The two-Fraction oracle value equal to the Gaussian rational z."""
+    return PairGaussian(z.re, z.im)
+
+
+@given(fractions_(), fractions_(), fractions_(), fractions_())
+def test_gaussian_arithmetic_agrees_with_the_pair_oracle(a, b, c, d):
+    x, y = GaussianRational(a, b), GaussianRational(c, d)
+    ox, oy = PairGaussian(a, b), PairGaussian(c, d)
+    assert (x.re, x.im) == (a, b)
+    assert pair(x + y) == ox + oy
+    assert pair(x - y) == ox - oy
+    assert pair(x * y) == ox * oy
+    assert pair(-x) == -ox
+    assert pair(x.conjugate()) == ox.conjugate()
+    assert bool(x) == bool(ox)
+    assert (x == y) == (ox == oy)
+    if oy:
+        assert pair(x / y) == ox / oy
+    else:
+        with pytest.raises(ZeroDivisionError):
+            ox / oy
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@given(fractions_(), fractions_(), st.integers(-9, 9), fractions_())
+def test_gaussian_mixed_operands_agree_with_the_pair_oracle(a, b, n, q):
+    x, ox = GaussianRational(a, b), PairGaussian(a, b)
+    for other in (n, q):
+        assert pair(x + other) == ox + other
+        assert pair(other + x) == other + ox
+        assert pair(x - other) == ox - other
+        assert pair(other - x) == other - ox
+        assert pair(x * other) == ox * other
+        assert pair(other * x) == other * ox
+        if other:
+            assert pair(x / other) == ox / other
+        assert (x == other) == (ox == other)
+        assert (other == x) == (other == ox)
+        assert (x != other) == (ox != other)
+
+
+@given(fractions_(), fractions_())
+def test_gaussian_format_round_trip_agrees_with_the_pair_oracle(a, b):
+    x = GaussianRational(a, b)
+    text = format_scalar(x)
+    assert text == format_scalar(PairGaussian(a, b))
+    assert parse_scalar(text, "Qi") == x
+
+
+@given(fractions_())
+def test_real_gaussian_hashes_like_its_fraction(q):
+    z = GaussianRational.of(q)
+    assert z == q and hash(z) == hash(q)
+    assert len({z, q}) == 1
+    assert {z: "gaussian"}[q] == "gaussian"
+    if q.denominator == 1:
+        assert hash(z) == hash(int(q))
+        assert len({z, int(q)}) == 1
+
+
+def test_gaussian_is_immutable():
+    z = GaussianRational(Fraction(1, 2), Fraction(3))
+    with pytest.raises(AttributeError):
+        z.re = Fraction(0)
+    with pytest.raises(AttributeError):
+        z.extra = 1
+    assert repr(z) == "GaussianRational(re=Fraction(1, 2), im=Fraction(3, 1))"
+
+
+def _random_entry(rng, field):
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.8 else Fraction(0)
+    return q() if field == "Q" else GaussianRational(q(), q())
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_inner_matches_the_fraction_double_sum(field):
+    for seed in range(80):
+        rng = random.Random(f"inner:{field}:{seed}")
+        space = random_space(rng, 1 + seed % 4, field)
+        for _ in range(3):
+            x = tuple(_random_entry(rng, field) for _ in range(space.dim))
+            y = tuple(_random_entry(rng, field) for _ in range(space.dim))
+            value = inner(space, x, y)
+            re, im = inner_by_sum(space, x, y)
+            if field == "Q":
+                assert type(value) is Fraction and (value, im) == (re, 0)
+            else:
+                assert type(value) is GaussianRational and (value.re, value.im) == (re, im)
 
 
 # ----------------------------------------------------------- scalar grammar

@@ -281,6 +281,18 @@ def test_projection_facts_project_each_pair_once(count_calls):
     assert len(calls) == 256
 
 
+def test_atoms_and_covering_reads_masks_not_leq(count_calls):
+    # both scans read the atoms below x, and those not below it, off
+    # down[x]: asked pair by pair, B4 would make 16 * 4 = 64 leq calls in
+    # the atomistic scan and 32 covers calls in the covering scan
+    b4 = corpus.boolean_lattice(4)
+    leq = count_calls(lattice.OrthoLattice, "leq")
+    covers = count_calls(lattice.OrthoLattice, "covers")
+    rep = atoms_and_covering(b4)
+    assert rep.atomistic.holds and rep.covering.holds and len(rep.atoms) == 4
+    assert leq == [] and covers == []
+
+
 def test_projection_facts_reject_benzene():
     with pytest.raises(NotOrthomodularError):
         projection_facts(lat_of("benzene"))

@@ -10,7 +10,7 @@ from orthokit import (
     Orthoset,
     subset_key,
 )
-from orthokit import corpus
+from orthokit import corpus, orthoset
 from orthokit.orthoset import ClosureTable
 
 from oracles import (
@@ -236,6 +236,15 @@ def test_transitive_golden_witnesses():
     assert not v.holds and v.witness == ("a", "b")
     v = corpus.get("horizontal_sum_atoms").build().is_transitive()
     assert not v.holds and v.witness == ("a", "b")
+
+
+def test_transitive_answers_a_degree_mismatch_without_a_search(count_calls):
+    # a and b of path4 differ in the number of elements orthogonal to them,
+    # so the pair (a, b) fails before any bijection search starts
+    calls = count_calls(orthoset, "_first_bijection")
+    v = path4().is_transitive()
+    assert not v.holds and v.witness == ("a", "b")
+    assert calls == []
 
 
 def test_transitive_certificates_are_automorphisms():
