@@ -415,13 +415,9 @@ def inner(space: HermitianSpace, x: Vector, y: Vector) -> Scalar:
                 # u = x_i g_ij, then the term u star(y_j); on Q every b is 0
                 ua, ub = xa * ga - xb * gb, xa * gb + xb * ga
                 ta, tb, td = ua * ya + ub * yb, ub * ya - ua * yb, xd * gd * yd
-                if td == den:
-                    a += ta
-                    b += tb
-                else:
-                    q = gcd(den, td)
-                    m, k = td // q, den // q
-                    a, b, den = a * m + ta * k, b * m + tb * k, k * td
+                q = gcd(den, td)
+                m, k = td // q, den // q
+                a, b, den = a * m + ta * k, b * m + tb * k, k * td
     return Fraction(a, den) if space.field == "Q" else _reduced(a, b, den)
 
 
@@ -548,10 +544,12 @@ class Line:
 
 
 def line(space: HermitianSpace, vec: Sequence[Any]) -> Line:
-    if isinstance(vec, tuple) and not any(isinstance(e, str) for e in vec):
-        v = vec
-    else:
-        v = parse_vector(vec, space)
+    """The line spanned by vec, whose entries are parsed as in parse_vector."""
+    return _line(space, parse_vector(vec, space))
+
+
+def _line(space: HermitianSpace, v: Vector) -> Line:
+    """The line spanned by v, whose entries are already scalars of the field."""
     if not any(v):
         raise InputError("the zero vector spans no line")
     reduced, _ = _rref([list(v)])
@@ -580,7 +578,7 @@ def sasaki_line(space: HermitianSpace, sub: Subspace, ln: Line) -> Line:
             "line is orthogonal to the subspace: outside the Sasaki map domain"
         )
     projected = project(space, sub, ln.rep)
-    route1 = line(space, projected)
+    route1 = _line(space, projected)
     shifted = sum_subspaces(line_subspace(ln), perp_subspace(space, sub))
     meet = intersect_subspaces(shifted, sub)
     assert meet.dim == 1, f"route 2 produced dimension {meet.dim}, expected 1"
@@ -724,7 +722,7 @@ def fuzz_hermitian(field: str, count: int, seed: int = 0,
             v = random_vector(rng, space)
             if all(not inner(space, v, b) for b in sub.basis):
                 continue
-            candidate = line(space, v)
+            candidate = _line(space, v)
             if all(candidate.rep != ln.rep for ln in family):
                 family.append(candidate)
         images: dict[int, Line] = {}

@@ -441,13 +441,9 @@ class Orthoset:
                  *((u, range(n)) for u in _bits(self._full & ~fixed & ~(1 << e)))]
 
         def fits(img: list[int], u: int, v: int) -> bool:
-            if deg[u] != deg[v]:
-                return False
-            au, av = adj[u], adj[v]
-            for w, x in enumerate(img):
-                if x >= 0 and (au >> w & 1) != (av >> x & 1):
-                    return False
-            return True
+            return deg[u] == deg[v] and all(
+                img[w] < 0 or (adj[u] >> w & 1) == (adj[v] >> img[w] & 1) for w in range(n)
+            )
 
         return _first_bijection(n, steps, fits)
 

@@ -418,6 +418,16 @@ def test_line_rejects_zero_vector_and_normalizes():
     assert line_subspace(ln).dim == 1
 
 
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_line_of_an_int_tuple_is_exact(field):
+    sp = make_space([["1", "0"], ["0", "1"]], field)
+    ln = line(sp, (2, 3))
+    kind = Fraction if field == "Q" else GaussianRational
+    assert all(type(v) is kind for v in ln.rep)
+    assert format_vector(ln.rep) == ["1", "3/2"]
+    assert orthogonal_lines(ln, line(sp, (3, -2)))
+
+
 # ---------------------------------------------------------- line orthosets
 
 
