@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Sequence, Union
+from typing import Any, Sequence
 
 from .errors import (
     AnisotropyError,
@@ -73,7 +73,7 @@ class GaussianRational:
         return Fraction(self._b, self._d)
 
     @staticmethod
-    def of(value: Union["GaussianRational", Fraction, int]) -> "GaussianRational":
+    def of(value: "GaussianRational | Fraction | int") -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
         return GaussianRational(Fraction(value), Fraction(0))
@@ -158,7 +158,9 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _triple(a, b, d)
 
 
-Scalar = Union[Fraction, GaussianRational]
+# not typing.Union, which caches its result: after a re-import of the package
+# the cache would keep the earlier copy of this module alive
+Scalar = Fraction | GaussianRational
 Vector = tuple[Scalar, ...]
 
 FIELDS = ("Q", "Qi")

@@ -3,7 +3,11 @@
 # Sasaki map on lines.  Everything here is exact rational arithmetic, so
 # every equality assertion is literal, never approximate.
 
+import gc
+import importlib
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -167,6 +171,23 @@ def test_gaussian_is_immutable():
     with pytest.raises(AttributeError):
         z.extra = 1
     assert repr(z) == "GaussianRational(re=Fraction(1, 2), im=Fraction(3, 1))"
+
+
+def test_a_reimported_hermitian_module_is_freed():
+    # nothing global (such as the typing.Union cache) may hold on to a copy
+    # of the module once the package is imported again
+    def ours():
+        return [n for n in sys.modules if n == "orthokit" or n.startswith("orthokit.")]
+
+    saved = {n: sys.modules.pop(n) for n in ours()}
+    try:
+        fresh = weakref.ref(importlib.import_module("orthokit.hermitian").GaussianRational)
+    finally:
+        for n in ours():
+            del sys.modules[n]
+        sys.modules.update(saved)
+    gc.collect()
+    assert fresh() is None
 
 
 def _random_entry(rng, field):
