@@ -12,7 +12,12 @@ computed on the realified form in the Gaussian case.
 
 Subspaces are kept in reduced row echelon form, which makes equality
 syntactic; a line is a one-dimensional subspace whose representative row
-has its first nonzero coordinate normalised to 1.
+has its first nonzero coordinate normalised to 1.  _rref computes that form
+fraction-free on both fields: rows are Gaussian integer numerators, cleared
+by integer cross-multiplication and kept small by their gcd, and each
+surviving row is divided by its pivot once at the end.  subspace, contains,
+sum_subspaces, intersect_subspaces, line and the kernel and solve steps of
+perp_subspace and project all go through it.
 
 sasaki_line computes the image of a line two ways, by orthogonal
 projection and by the subspace formula (line + perp of S) intersect S,
@@ -116,6 +121,9 @@ class GaussianRational:
         # (a + b i)/d divided by (c + e i)/f is (a + b i)(c - e i) f / (d norm)
         a, b, f = self._a, self._b, other._d
         return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
+
+    def __rtruediv__(self, other: Any) -> "GaussianRational":
+        return GaussianRational.of(other) / self
 
     def __neg__(self) -> "GaussianRational":
         return _triple(-self._a, -self._b, self._d)
@@ -241,35 +249,70 @@ def _one(field: str) -> Scalar:
 # ------------------------------------------------------- exact linear algebra
 
 
-def _rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns."""
-    mat = [list(r) for r in rows]
+def _rref(rows: Sequence[Sequence[Scalar | int]], field: str) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form over the field; returns nonzero rows and
+    pivot columns.
+
+    Fraction-free Gauss-Jordan on both fields.  Each row is read as
+    Gaussian integer numerators (re, im) over the lcm of its denominators,
+    and the denominator is dropped: until the end only the line a row spans
+    matters.  Clearing column c of row i by pivot row r is
+    row_i <- p row_i - m row_r, with p the pivot and m row_i's entry in
+    column c, which keeps every entry integral; the row is then divided by
+    the gcd of its entries.  So each row is a nonzero multiple of the row
+    that Fraction elimination holds at the same step: the same entries are
+    nonzero, the same pivots are chosen, and dividing each surviving row by
+    its pivot once gives the same reduced rows.  im is 0 throughout on Q.
+    """
+    mat: list[tuple[list[int], list[int]]] = []
+    for row in rows:
+        parts = [_parts(v) for v in row]
+        den = lcm(*[d for _, _, d in parts])
+        mat.append(([a * (den // d) for a, _, d in parts],
+                    [b * (den // d) for _, b, d in parts]))
     if not mat:
         return [], []
-    ncols = len(mat[0])
+    n, ncols = len(mat), len(mat[0][0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        sel = next((i for i in range(r, len(mat)) if mat[i][c]), -1)
+        sel = next((i for i in range(r, n) if mat[i][0][c] or mat[i][1][c]), -1)
         if sel < 0:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
-        inv = mat[r][c]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pre, pim = mat[r]
+        pa, pb = pre[c], pim[c]
+        for i in range(n):
+            re, im = mat[i]
+            ma, mb = re[c], im[c]
+            if i != r and (ma or mb):
+                cols = list(zip(re, im, pre, pim))
+                re = [pa * x - pb * y - ma * u + mb * v for x, y, u, v in cols]
+                im = [pa * y + pb * x - ma * v - mb * u for x, y, u, v in cols]
+                g = gcd(*re, *im)
+                if g > 1:
+                    re, im = [x // g for x in re], [y // g for y in im]
+                mat[i] = (re, im)
         pivots.append(c)
         r += 1
-        if r == len(mat):
+        if r == n:
             break
-    return [row for row in mat[:r]], pivots
+    out: list[list[Scalar]] = []
+    for (re, im), c in zip(mat, pivots):
+        pa, pb = re[c], im[c]
+        if field == "Q":
+            out.append([Fraction(x, pa) for x in re])
+        else:
+            # (x + y i)/(pa + pb i) = (x + y i)(pa - pb i)/norm
+            norm = pa * pa + pb * pb
+            out.append([_reduced(x * pa + y * pb, y * pa - x * pb, norm) for x, y in zip(re, im)])
+    return out, pivots
 
 
-def _kernel(rows: Sequence[Sequence[Scalar]], ncols: int, zero: Scalar, one: Scalar) -> list[list[Scalar]]:
+def _kernel(rows: Sequence[Sequence[Scalar]], ncols: int, field: str) -> list[list[Scalar]]:
     """Canonical basis of {x : sum_i x_i row_i = 0 for every row}."""
-    reduced, pivots = _rref(rows)
+    zero, one = _zero(field), _one(field)
+    reduced, pivots = _rref(rows, field)
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[list[Scalar]] = []
     for f in free:
@@ -280,15 +323,15 @@ def _kernel(rows: Sequence[Sequence[Scalar]], ncols: int, zero: Scalar, one: Sca
         basis.append(vec)
     # not redundant: the kernel of x0 + x1 = 0 is built as [-1, 1], its
     # reduced form is [1, -1], and subspaces compare by reduced rows
-    reduced_basis, _ = _rref(basis)
+    reduced_basis, _ = _rref(basis, field)
     return reduced_basis
 
 
-def _solve(a: list[list[Scalar]], b: list[Scalar]) -> list[Scalar]:
+def _solve(a: list[list[Scalar]], b: list[Scalar], field: str) -> list[Scalar]:
     """Unique solution of a square exact system (raises if singular)."""
     n = len(a)
     aug = [list(a[i]) + [b[i]] for i in range(n)]
-    reduced, pivots = _rref(aug)
+    reduced, pivots = _rref(aug, field)
     if pivots != list(range(n)):
         raise InputError("singular system in exact solve")
     return [reduced[i][n] for i in range(n)]
@@ -447,7 +490,7 @@ class Subspace:
 
 def subspace(space: HermitianSpace, vectors: Sequence[Sequence[Any]]) -> Subspace:
     parsed = [parse_vector(v, space) for v in vectors]
-    reduced, _ = _rref(parsed)
+    reduced, _ = _rref(parsed, space.field)
     return Subspace(space, tuple(tuple(r) for r in reduced))
 
 
@@ -465,13 +508,13 @@ def full_subspace(space: HermitianSpace) -> Subspace:
 
 
 def contains(sub: Subspace, vec: Vector) -> bool:
-    stacked, _ = _rref(list(sub.basis) + [list(vec)])
+    stacked, _ = _rref(list(sub.basis) + [list(vec)], sub.space.field)
     return len(stacked) == sub.dim
 
 
 def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
     _same_space(a, b)
-    reduced, _ = _rref(list(a.basis) + list(b.basis))
+    reduced, _ = _rref(list(a.basis) + list(b.basis), a.space.field)
     return Subspace(a.space, tuple(tuple(r) for r in reduced))
 
 
@@ -486,9 +529,9 @@ def intersect_subspaces(a: Subspace, b: Subspace) -> Subspace:
         block.append(list(row) + list(row))
     for row in b.basis:
         block.append(list(row) + [zero] * n)
-    reduced, _ = _rref(block)
+    reduced, _ = _rref(block, space.field)
     right = [row[n:] for row in reduced if not any(row[:n])]
-    final, _ = _rref(right)
+    final, _ = _rref(right, space.field)
     return Subspace(space, tuple(tuple(r) for r in final))
 
 
@@ -501,7 +544,7 @@ def perp_subspace(space: HermitianSpace, sub: Subspace) -> Subspace:
     """{x : inner(x, b) = 0 for every basis vector b}."""
     if sub.space != space:
         raise InputError("subspace does not belong to the given space")
-    zero, one = _zero(space.field), _one(space.field)
+    zero = _zero(space.field)
     constraints: list[list[Scalar]] = []
     for b in sub.basis:
         row = []
@@ -512,7 +555,7 @@ def perp_subspace(space: HermitianSpace, sub: Subspace) -> Subspace:
                     acc = acc + space.gram[i][j] * star(b[j])
             row.append(acc)
         constraints.append(row)
-    basis = _kernel(constraints, space.dim, zero, one)
+    basis = _kernel(constraints, space.dim, space.field)
     return Subspace(space, tuple(tuple(r) for r in basis))
 
 
@@ -526,7 +569,7 @@ def project(space: HermitianSpace, sub: Subspace, vec: Vector) -> Vector:
     # sum_k t_k inner(b_k, b_m) = inner(vec, b_m) for every m
     a = [[inner(space, sub.basis[kk], sub.basis[m]) for kk in range(k)] for m in range(k)]
     rhs = [inner(space, vec, sub.basis[m]) for m in range(k)]
-    t = _solve(a, rhs)
+    t = _solve(a, rhs, space.field)
     out = list(space.zero_vector())
     for kk in range(k):
         if t[kk]:
@@ -554,7 +597,7 @@ def _line(space: HermitianSpace, v: Vector) -> Line:
     """The line spanned by v, whose entries are already scalars of the field."""
     if not any(v):
         raise InputError("the zero vector spans no line")
-    reduced, _ = _rref([list(v)])
+    reduced, _ = _rref([list(v)], space.field)
     return Line(space, tuple(reduced[0]))
 
 

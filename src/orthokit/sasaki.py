@@ -239,27 +239,24 @@ def verify_refutation(x: Orthoset, ref: RefutationTrace) -> bool:
     if len(position) != len(order) or position.keys() != free:
         return False
     adj = x.adj
-
-    def value(e: int, prefix: tuple[int, ...]) -> int | None:
-        """phi(e) under the partial assignment, None when unassigned."""
-        if e in a:
-            return e
-        i = position.get(e)
-        return prefix[i] if i is not None and i < len(prefix) else None
-
     leaves: set[tuple[int, ...]] = set()
     internal: set[tuple[int, ...]] = {()}
     for prefix, (e, f) in ref.entries:
-        if len(prefix) > len(order) or prefix in leaves or not all(v in a for v in prefix):
+        k = len(prefix)
+        if k > len(order) or prefix in leaves or not a.issuperset(prefix):
             return False
         leaves.add(prefix)
-        ve, vf = value(e, prefix), value(f, prefix)
+        # phi(e) under the prefix: e itself on A, the prefix's value at e's
+        # position when that lies inside the prefix, else unassigned (None)
+        i, j = position.get(e, k), position.get(f, k)
+        ve = e if e in a else prefix[i] if i < k else None
+        vf = f if f in a else prefix[j] if j < k else None
         if ve is None or vf is None:
             return False
         if ((ve in adj[f]) == (e in adj[vf])) and ((vf in adj[e]) == (f in adj[ve])):
             return False  # claimed conflict is not real
         # the proper prefixes, longest first; a known one has its own known
-        for cut in range(len(prefix) - 1, -1, -1):
+        for cut in range(k - 1, -1, -1):
             node = prefix[:cut]
             if node in internal:
                 break
@@ -299,10 +296,11 @@ def shortcut_construct(x: Orthoset, a: Subset) -> ShortcutResult | None:
     in perp(A) and not in D.  So D = A, and (a) applies.
     """
     am, aperp = _require_orthoclosed(x, a)
-    domain = list(_bits(x._full & ~aperp))
     if aperp == x._full & ~am:
-        return ShortcutResult("a", SasakiMapWitness(a, {e: e for e in domain}))
+        # the domain, the complement of perp(A), is A itself
+        return ShortcutResult("a", SasakiMapWitness(a, {e: e for e in _bits(am)}))
     if am.bit_count() == 1:
+        domain = _bits(x._full & ~aperp)
         return ShortcutResult("c", SasakiMapWitness(a, dict.fromkeys(domain, am.bit_length() - 1)))
     return None
 

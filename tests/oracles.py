@@ -4,7 +4,9 @@ The orthoset and lattice oracles recompute from raw adjacency or the
 order relation by full enumeration over subset bitmasks; none of it shares
 code with the package's budgeted or pruned implementations.  The Hermitian
 oracles are the two-Fraction Gaussian rational the package used before its
-integer triples, and the form as a plain double sum over Fractions.
+integer triples, the form as a plain double sum over Fractions, and the
+Gauss-Jordan elimination on field scalars the package used before its
+fraction-free one.
 """
 from __future__ import annotations
 
@@ -340,3 +342,33 @@ def inner_by_sum(space, x, y) -> tuple[Fraction, Fraction]:
             re += ur * yr - ui * yi
             im += ur * yi + ui * yr
     return re, im
+
+
+def rref_by_fractions(rows) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination on the scalars
+    themselves (Fractions or Gaussian rationals): nonzero rows and pivot
+    columns.  Each pivot is the first nonzero entry at or below the current
+    row; its row is divided by it, and the pivot column is cleared in every
+    other row."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(mat)) if mat[i][c]), -1)
+        if sel < 0:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = mat[r][c]
+        mat[r] = [v / inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [row for row in mat[:r]], pivots

@@ -42,8 +42,8 @@ from orthokit import (
     sum_subspaces,
     zero_subspace,
 )
-from orthokit.hermitian import random_space
-from oracles import GaussianRational as PairGaussian, inner_by_sum
+from orthokit.hermitian import _rref, random_space
+from oracles import GaussianRational as PairGaussian, inner_by_sum, rref_by_fractions
 
 
 def gaussians():
@@ -140,6 +140,11 @@ def test_gaussian_mixed_operands_agree_with_the_pair_oracle(a, b, n, q):
         assert pair(other * x) == other * ox
         if other:
             assert pair(x / other) == ox / other
+        if ox:
+            assert pair(other / x) == PairGaussian.of(other) / ox
+        else:
+            with pytest.raises(ZeroDivisionError):
+                other / x
         assert (x == other) == (ox == other)
         assert (other == x) == (other == ox)
         assert (x != other) == (ox != other)
@@ -447,6 +452,59 @@ def test_line_of_an_int_tuple_is_exact(field):
     assert all(type(v) is kind for v in ln.rep)
     assert format_vector(ln.rep) == ["1", "3/2"]
     assert orthogonal_lines(ln, line(sp, (3, -2)))
+
+
+# --------------------------------------------------------------- echelon
+
+
+def _rationals():
+    small = st.integers(-9, 9)
+    large = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+    return st.one_of(st.just(0), small, st.fractions(-9, 9, max_denominator=12), large)
+
+
+def _entries(field):
+    """Zeros, ints and Fractions on Q; on Qi also Gaussian rationals with
+    such parts, including large denominators."""
+    if field == "Q":
+        return _rationals()
+    return st.one_of(_rationals(), st.builds(GaussianRational, _rationals(), _rationals()))
+
+
+@st.composite
+def _matrices(draw, field):
+    """Up to 8 rows of up to 9 entries: some columns and rows zeroed, and
+    some rows combinations of earlier ones, so the rank often falls short."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 9))
+    entry = _entries(field)
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    for i in range(nrows):
+        kind = draw(st.sampled_from(("drawn", "drawn", "zero", "combination")))
+        if kind == "zero":
+            rows[i] = [0] * ncols
+        elif kind == "combination" and i:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            s, t = draw(entry), draw(entry)
+            rows[i] = [s * u + t * v for u, v in zip(rows[j], rows[k])]
+        for c in zero_cols:
+            rows[i][c] = 0
+    return rows
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+@given(data=st.data())
+def test_rref_matches_the_fraction_elimination(field, data):
+    rows = data.draw(_matrices(field))
+    kind = Fraction if field == "Q" else GaussianRational
+    # the oracle divides int by int to a float, so it gets field scalars
+    lifted = [[Fraction(v) if field == "Q" else GaussianRational.of(v) for v in row] for row in rows]
+    want_rows, want_pivots = rref_by_fractions(lifted)
+    got_rows, got_pivots = _rref(rows, field)
+    assert got_pivots == want_pivots
+    assert got_rows == want_rows
+    assert [format_vector(r) for r in got_rows] == [format_vector(r) for r in want_rows]
+    assert all(type(v) is kind for r in got_rows for v in r)
 
 
 # ---------------------------------------------------------- line orthosets

@@ -215,6 +215,14 @@ def test_refutation_with_a_false_conflict_is_rejected():
             assert not verify_refutation(x, RefutationTrace(ref.target, ref.free_order, tuple(entries)))
 
 
+def test_refutation_with_a_value_outside_the_target_is_rejected():
+    # phi(a) = b would clash with the fixed point c, but b is no value of A
+    x, ref = hs_cd_refutation()
+    a = ref.free_order[0]
+    extra = ((x.index("b"),), (a, x.index("c")))
+    assert not verify_refutation(x, RefutationTrace(ref.target, ref.free_order, ref.entries + (extra,)))
+
+
 def test_wipe_out_refutation_has_one_entry_per_value():
     x = corpus.generate("random_orthoset", {"n": 18, "p": 0.2}, seed=0)
     v = find_sasaki_map(x, x.subset(["x5", "x6", "x10"]))
