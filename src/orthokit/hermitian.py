@@ -262,8 +262,10 @@ def _rref(rows: Sequence[Sequence[Scalar | int]], field: str) -> tuple[list[list
     the gcd of its entries.  So each row is a nonzero multiple of the row
     that Fraction elimination holds at the same step: the same entries are
     nonzero, the same pivots are chosen, and dividing each surviving row by
-    its pivot once gives the same reduced rows.  im is 0 throughout on Q.
+    its pivot once gives the same reduced rows.  im is 0 throughout on Q,
+    so there the update skips it.
     """
+    qi = field != "Q"
     mat: list[tuple[list[int], list[int]]] = []
     for row in rows:
         parts = [_parts(v) for v in row]
@@ -286,9 +288,12 @@ def _rref(rows: Sequence[Sequence[Scalar | int]], field: str) -> tuple[list[list
             re, im = mat[i]
             ma, mb = re[c], im[c]
             if i != r and (ma or mb):
-                cols = list(zip(re, im, pre, pim))
-                re = [pa * x - pb * y - ma * u + mb * v for x, y, u, v in cols]
-                im = [pa * y + pb * x - ma * v - mb * u for x, y, u, v in cols]
+                if qi:
+                    cols = list(zip(re, im, pre, pim))
+                    re = [pa * x - pb * y - ma * u + mb * v for x, y, u, v in cols]
+                    im = [pa * y + pb * x - ma * v - mb * u for x, y, u, v in cols]
+                else:
+                    re = [pa * x - ma * u for x, u in zip(re, pre)]
                 g = gcd(*re, *im)
                 if g > 1:
                     re, im = [x // g for x in re], [y // g for y in im]
@@ -297,15 +302,17 @@ def _rref(rows: Sequence[Sequence[Scalar | int]], field: str) -> tuple[list[list
         r += 1
         if r == n:
             break
+    zero = _zero(field)
     out: list[list[Scalar]] = []
     for (re, im), c in zip(mat, pivots):
         pa, pb = re[c], im[c]
-        if field == "Q":
-            out.append([Fraction(x, pa) for x in re])
-        else:
+        if qi:
             # (x + y i)/(pa + pb i) = (x + y i)(pa - pb i)/norm
             norm = pa * pa + pb * pb
-            out.append([_reduced(x * pa + y * pb, y * pa - x * pb, norm) for x, y in zip(re, im)])
+            out.append([_reduced(x * pa + y * pb, y * pa - x * pb, norm) if x or y else zero
+                        for x, y in zip(re, im)])
+        else:
+            out.append([Fraction(x, pa) if x else zero for x in re])
     return out, pivots
 
 
