@@ -25,7 +25,7 @@ import sys
 from typing import Any, Callable
 
 from . import corpus as corpus_mod
-from .config import snapshot
+from .config import run_budgets, snapshot
 from .errors import BudgetExceededError, InputError, OrthokitError
 from .hermitian import (
     format_vector,
@@ -143,14 +143,7 @@ def _split_labels(raw: str) -> list[str]:
 
 def _cmd_check(args: argparse.Namespace) -> tuple[Any, list[str], int]:
     x = _orthoset_arg(args)
-    rep = property_report(
-        x,
-        name=args.name,
-        transitive_bound=args.automorphism_bound,
-        node_budget=args.node_budget,
-        family_budget=args.family_budget,
-        clique_budget=args.clique_budget,
-    )
+    rep = property_report(x, name=args.name)
     result = {
         "name": rep.name,
         "n": rep.n,
@@ -178,11 +171,11 @@ def _cmd_check(args: argparse.Namespace) -> tuple[Any, list[str], int]:
 def _cmd_lattice(args: argparse.Namespace) -> tuple[Any, list[str], int]:
     doc = _read_doc(args.file)
     if _doc_kind(doc) == "lattice":
-        lat = build_lattice(doc, cap=args.lattice_cap)
+        lat = build_lattice(doc)
         source = "lattice"
     else:
         x = Orthoset.from_json(doc)
-        lat = orthoclosed_lattice(x, budget=args.family_budget, cap=args.lattice_cap)
+        lat = orthoclosed_lattice(x)
         source = "orthoclosed-family"
     if args.dot is not None:
         dot = lattice_to_dot(lat, name=args.name)
@@ -212,7 +205,7 @@ def _cmd_lattice(args: argparse.Namespace) -> tuple[Any, list[str], int]:
         _verdict_line("covering", cov.covering),
     ]
     if args.roundtrip:
-        rt = roundtrip_check(lat, budget=args.family_budget, cap=args.lattice_cap)
+        rt = roundtrip_check(lat)
         result["roundtrip"] = {
             "ok": rt.ok,
             "direction": rt.direction,
@@ -233,13 +226,7 @@ def _cmd_lattice(args: argparse.Namespace) -> tuple[Any, list[str], int]:
 def _cmd_sasaki(args: argparse.Namespace) -> tuple[Any, list[str], int]:
     x = _orthoset_arg(args)
     if args.target is None:
-        verdict = is_sasaki_space(
-            x,
-            mode=args.mode,
-            node_budget=args.node_budget,
-            family_budget=args.family_budget,
-            clique_budget=args.clique_budget,
-        )
+        verdict = is_sasaki_space(x, mode=args.mode)
         result: dict[str, Any] = {
             "is_sasaki": verdict.is_sasaki,
             "mode": verdict.mode,
@@ -272,7 +259,7 @@ def _cmd_sasaki(args: argparse.Namespace) -> tuple[Any, list[str], int]:
         return result, lines, 0
     a = x.subset(_split_labels(args.target))
     if args.count:
-        found = count_sasaki_maps(x, a, limit=args.limit, budget=args.node_budget)
+        found = count_sasaki_maps(x, a, limit=args.limit)
         result = {
             "target": list(x.labels_of(a)),
             "count": len(found),
@@ -284,7 +271,7 @@ def _cmd_sasaki(args: argparse.Namespace) -> tuple[Any, list[str], int]:
         ]
         return result, lines, 0
     shortcut = shortcut_construct(x, a)
-    v = find_sasaki_map(x, a, budget=args.node_budget)
+    v = find_sasaki_map(x, a)
     result = {
         "target": list(x.labels_of(a)),
         "exists": v.exists,
@@ -313,7 +300,7 @@ def _cmd_oml(args: argparse.Namespace) -> tuple[Any, list[str], int]:
     doc = _read_doc(args.file)
     if _doc_kind(doc) != "lattice":
         raise InputError("the oml command expects a lattice document")
-    lat = build_lattice(doc, cap=args.lattice_cap)
+    lat = build_lattice(doc)
     if args.project is not None:
         i = lat.index(args.project)
         table = {
@@ -354,7 +341,7 @@ def _cmd_oml(args: argparse.Namespace) -> tuple[Any, list[str], int]:
 
 def _cmd_finch(args: argparse.Namespace) -> tuple[Any, list[str], int]:
     x = _orthoset_arg(args)
-    rep = finch_report(x, node_budget=args.node_budget, family_budget=args.family_budget)
+    rep = finch_report(x)
     result = {"ok": rep.ok, "laws": {k: _jsonable(v) for k, v in rep.laws.items()}}
     lines = [f"induced-map laws: {'all hold' if rep.ok else 'FAILED'}"]
     lines += [_verdict_line(f"  {k}", v) for k, v in rep.laws.items()]
@@ -451,7 +438,7 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[Any, list[str], int]:
     params = _parse_json(args.params, "--params")
     if not isinstance(params, dict):
         raise InputError("--params must be a JSON object")
-    obj = corpus_mod.generate(args.kind, params, seed=args.seed, cap=args.lattice_cap)
+    obj = corpus_mod.generate(args.kind, params, seed=args.seed)
     doc = obj.to_json(name=args.kind)
     return doc, [json.dumps(doc, indent=2, sort_keys=True)], 0
 
@@ -583,7 +570,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # resolved first, so that a bad budget is an input error whether
-        # or not the command reads it
+        # or not the command reads it; the command runs under the budgets
+        # the envelope echoes, and the next run starts from the defaults
         budgets = snapshot(
             family=args.family_budget,
             clique=args.clique_budget,
@@ -591,7 +579,11 @@ def main(argv: list[str] | None = None) -> int:
             automorphism=args.automorphism_bound,
             lattice_cap=args.lattice_cap,
         )
-        result, lines, code = args.handler(args)
+        token = run_budgets.set(budgets)
+        try:
+            result, lines, code = args.handler(args)
+        finally:
+            run_budgets.reset(token)
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: budget exceeded: {exc}\n")
         return 3

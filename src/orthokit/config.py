@@ -1,78 +1,74 @@
-"""Budget defaults and their environment-variable overrides.
+"""Budgets: their defaults, their ORTHOKIT_* variables, and the run's values.
 
-Every potentially expensive routine takes an optional budget argument;
-when the argument is None the value is read from the environment, falling
-back to the defaults below.  Negative or malformed values are input
-errors.  Budgets exist to make non-termination impossible, not to be tuned
-per call site.
+Every potentially expensive routine takes an optional budget argument and
+passes it to `resolve`: an explicit argument wins, else the value of the
+current run applies, and outside a run that is the default.  Only the CLI
+reads the environment: `snapshot` resolves its flags and the ORTHOKIT_*
+variables once, the envelope echoes the result, and the command runs under
+it (`run_budgets`), so every command enforces the budgets it reports.
+Negative or malformed values are input errors.  Budgets exist to make
+non-termination impossible, not to be tuned per call site.
 """
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar
 
 from .errors import InputError
 
-DEFAULT_FAMILY_BUDGET = 10_000       # max orthoclosed sets enumerated
-DEFAULT_CLIQUE_BUDGET = 100_000      # max perp-sets enumerated
-DEFAULT_NODE_BUDGET = 10_000_000     # max nodes in a Sasaki map search
-DEFAULT_AUTOMORPHISM_BOUND = 10      # max |X| for the transitivity search
-DEFAULT_LATTICE_CAP = 64             # max lattice size accepted
+# name: (default, environment variable, name in error messages)
+BUDGETS: dict[str, tuple[int, str, str]] = {
+    # max orthoclosed sets enumerated
+    "family": (10_000, "ORTHOKIT_FAMILY_BUDGET", "family budget"),
+    # max perp-sets enumerated
+    "clique": (100_000, "ORTHOKIT_CLIQUE_BUDGET", "clique budget"),
+    # max nodes in a Sasaki map search
+    "nodes": (10_000_000, "ORTHOKIT_NODE_BUDGET", "node budget"),
+    # max |X| for the transitivity search
+    "automorphism": (10, "ORTHOKIT_AUTOMORPHISM_BOUND", "automorphism bound"),
+    # max lattice size accepted
+    "lattice_cap": (64, "ORTHOKIT_LATTICE_CAP", "lattice cap"),
+}
+
+# the budgets of the current run: the defaults, or what the CLI resolved
+run_budgets: ContextVar[dict[str, int]] = ContextVar(
+    "run_budgets", default={name: spec[0] for name, spec in BUDGETS.items()}
+)
 
 
-def _resolve(override: int | None, name: str, default: int) -> int:
-    """The override if given, else ORTHOKIT_<name> from the environment,
-    else the default.
-
-    A budget is a non-negative integer; anything else is an input error,
-    so that the budget a report echoes is the one that was enforced.
-    """
-    env = f"ORTHOKIT_{name}"
-    if override is None:
-        raw = os.environ.get(env)
-        if raw is None:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InputError(f"{env}={raw!r} is not an integer") from None
-        source = env
-    else:
-        value, source = override, name.lower().replace("_", " ")
+def _non_negative(value: int, source: str) -> int:
+    """A budget is a non-negative integer; anything else is an input error,
+    so that the budget a report echoes is the one that was enforced."""
     if value < 0:
         raise InputError(f"{source} must be non-negative, got {value}")
     return value
 
 
-def family_budget(override: int | None = None) -> int:
-    return _resolve(override, "FAMILY_BUDGET", DEFAULT_FAMILY_BUDGET)
-
-
-def clique_budget(override: int | None = None) -> int:
-    return _resolve(override, "CLIQUE_BUDGET", DEFAULT_CLIQUE_BUDGET)
-
-
-def node_budget(override: int | None = None) -> int:
-    return _resolve(override, "NODE_BUDGET", DEFAULT_NODE_BUDGET)
-
-
-def automorphism_bound(override: int | None = None) -> int:
-    return _resolve(override, "AUTOMORPHISM_BOUND", DEFAULT_AUTOMORPHISM_BOUND)
-
-
-def lattice_cap(override: int | None = None) -> int:
-    return _resolve(override, "LATTICE_CAP", DEFAULT_LATTICE_CAP)
+def resolve(name: str, override: int | None = None) -> int:
+    """The budget `name`: the override if given, else the run's value."""
+    if override is None:
+        return run_budgets.get()[name]
+    return _non_negative(override, BUDGETS[name][2])
 
 
 def snapshot(*, family: int | None = None, clique: int | None = None,
              nodes: int | None = None, automorphism: int | None = None,
              lattice_cap: int | None = None) -> dict[str, int]:
-    """Resolved budget values, for inclusion in report headers; each
-    keyword is an override, resolved as by its getter above."""
-    return {
-        "family": family_budget(family),
-        "clique": clique_budget(clique),
-        "nodes": node_budget(nodes),
-        "automorphism": automorphism_bound(automorphism),
-        # the keyword shadows the lattice_cap getter
-        "lattice_cap": _resolve(lattice_cap, "LATTICE_CAP", DEFAULT_LATTICE_CAP),
-    }
+    """Every budget of a run, for the report header: each keyword (a CLI
+    flag) if given, else its ORTHOKIT_* variable, else its default."""
+    flags = {"family": family, "clique": clique, "nodes": nodes,
+             "automorphism": automorphism, "lattice_cap": lattice_cap}
+    budgets = {}
+    for name, (default, env, _) in BUDGETS.items():
+        raw = os.environ.get(env)
+        if flags[name] is not None:
+            budgets[name] = resolve(name, flags[name])
+        elif raw is None:
+            budgets[name] = default
+        else:
+            try:
+                value = int(raw)
+            except ValueError:
+                raise InputError(f"{env}={raw!r} is not an integer") from None
+            budgets[name] = _non_negative(value, env)
+    return budgets

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Callable, Mapping
 
-from ..config import lattice_cap
+from ..config import resolve
 from ..errors import BudgetExceededError, FixtureError, InputError
 from ..lattice import OrthoLattice, build_lattice, is_dacey
 from ..orthoset import Orthoset
@@ -98,8 +98,9 @@ def _boolean_labels(n: int) -> tuple[list[str], list[str]]:
 
 def _check_size(size: int, cap: int | None) -> None:
     """Refuse, before building, a lattice the cap would refuse once built."""
-    if size > lattice_cap(cap):
-        raise BudgetExceededError(f"lattice size {size} exceeds cap of {lattice_cap(cap)}")
+    cap = resolve("lattice_cap", cap)
+    if size > cap:
+        raise BudgetExceededError(f"lattice size {size} exceeds cap of {cap}")
 
 
 def boolean_lattice(n: int, cap: int | None = None) -> OrthoLattice:
@@ -107,10 +108,9 @@ def boolean_lattice(n: int, cap: int | None = None) -> OrthoLattice:
     if n < 0:
         raise InputError("boolean lattice needs n >= 0")
     # 2^n > cap iff n >= cap.bit_length(); 2^n itself may be too big to form
-    if n >= lattice_cap(cap).bit_length():
-        raise BudgetExceededError(
-            f"lattice size 2^{n} exceeds cap of {lattice_cap(cap)}"
-        )
+    cap = resolve("lattice_cap", cap)
+    if n >= cap.bit_length():
+        raise BudgetExceededError(f"lattice size 2^{n} exceeds cap of {cap}")
     labels, _ = _boolean_labels(n)
     size = 1 << n
     full = size - 1

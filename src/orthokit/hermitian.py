@@ -370,7 +370,8 @@ class HermitianSpace:
 def make_space(gram: Sequence[Sequence[Any]], field: str) -> HermitianSpace:
     """Validate a gram matrix: star-symmetry plus the positivity certificate.
 
-    Entries may be scalar strings or already-parsed scalars.
+    Entries may be scalar strings, ints, Fractions or GaussianRationals;
+    a float or complex entry is an input error.
     """
     _check_field(field)
     n = len(gram)
@@ -393,6 +394,8 @@ def make_space(gram: Sequence[Sequence[Any]], field: str) -> HermitianSpace:
 
 
 def _coerce(value: Any, field: str) -> Scalar:
+    if isinstance(value, (float, complex)):
+        raise InputError(f"inexact scalar {value!r}; give an int, a Fraction or a scalar string")
     if field == "Q":
         if isinstance(value, GaussianRational):
             raise InputError("Gaussian scalar in a rational space")
@@ -515,6 +518,8 @@ def full_subspace(space: HermitianSpace) -> Subspace:
 
 
 def contains(sub: Subspace, vec: Vector) -> bool:
+    if len(vec) != sub.space.dim:
+        raise DimensionMismatchError("vector length does not match the space dimension")
     stacked, _ = _rref(list(sub.basis) + [list(vec)], sub.space.field)
     return len(stacked) == sub.dim
 

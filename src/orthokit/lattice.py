@@ -21,7 +21,7 @@ from functools import cached_property, reduce
 from itertools import combinations
 from typing import Any, Callable, Iterable, Sequence
 
-from .config import clique_budget, lattice_cap
+from .config import resolve
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -42,8 +42,9 @@ class OrthoLattice:
         n = len(self.labels)
         if n == 0:
             raise LatticeLawError("empty", None)
-        if n > lattice_cap(cap):
-            raise BudgetExceededError(f"lattice size {n} exceeds cap of {lattice_cap(cap)}")
+        cap = resolve("lattice_cap", cap)
+        if n > cap:
+            raise BudgetExceededError(f"lattice size {n} exceeds cap of {cap}")
         if len(set(self.labels)) != n:
             raise InputError("duplicate lattice element label")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -385,11 +386,11 @@ def _table_lattice(x: Orthoset, table: ClosureTable, cap: int | None) -> OrthoLa
     return OrthoLattice(labels, table.up, table.perp, cap=cap)
 
 
-def dacey_criterion(x: Orthoset, family_budget_: int | None = None,
-                    clique_budget_: int | None = None) -> Verdict:
+def dacey_criterion(x: Orthoset, family_budget: int | None = None,
+                    clique_budget: int | None = None) -> Verdict:
     """For every orthoclosed A and maximal perp-set D inside A: A = closure(D)."""
-    family = x._closed_masks(family_budget_)
-    limit = clique_budget(clique_budget_)
+    family = x._closed_masks(family_budget)
+    limit = resolve("clique", clique_budget)
     for a in family:
         for d in x._maximal_perp_masks(a, limit):
             if x._perp(x._perp(d)) != a:
@@ -401,7 +402,7 @@ def is_dacey(x: Orthoset, via: str = "criterion", budget: int | None = None) -> 
     """Dacey space check, through the maximal-perp-set criterion or through
     orthomodularity of the orthoclosed-set lattice.  Both routes agree."""
     if via == "criterion":
-        return dacey_criterion(x, family_budget_=budget)
+        return dacey_criterion(x, family_budget=budget)
     if via == "lattice":
         return is_orthomodular(orthoclosed_lattice(x, budget=budget))
     raise ValueError(f"unknown dacey route {via!r}")

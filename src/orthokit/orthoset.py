@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .config import automorphism_bound, clique_budget, family_budget
+from .config import resolve
 from .errors import BudgetExceededError, InputError, InvalidSubsetError
 
 Subset = frozenset[int]
@@ -282,7 +282,7 @@ class Orthoset:
         (the empty intersection being X), so the family is the closure of
         {X} under intersection with the point perps.
         """
-        limit = family_budget(budget)
+        limit = resolve("family", budget)
         family = {self._full}
         frontier = [self._full]
         while frontier:
@@ -307,7 +307,7 @@ class Orthoset:
         (default: the whole universe), in canonical order.  The empty
         orthoset has the empty set as its one maximal perp-set."""
         w = self._full if within is None else self._mask(within)
-        return [frozenset(_bits(m)) for m in self._maximal_perp_masks(w, clique_budget(budget))]
+        return [frozenset(_bits(m)) for m in self._maximal_perp_masks(w, resolve("clique", budget))]
 
     def _maximal_perp_masks(self, w: int, limit: int) -> list[int]:
         """Bron-Kerbosch with pivoting on the orthogonality graph restricted
@@ -342,7 +342,7 @@ class Orthoset:
     def perp_sets(self, within: Subset | None = None, budget: int | None = None) -> list[Subset]:
         """All perp-sets (the empty one included) inside `within`, canonical order."""
         w = self._full if within is None else self._mask(within)
-        return [frozenset(_bits(m)) for m in self._perp_set_masks(w, clique_budget(budget))]
+        return [frozenset(_bits(m)) for m in self._perp_set_masks(w, resolve("clique", budget))]
 
     def _perp_set_masks(self, w: int, limit: int) -> list[int]:
         """All perp-sets inside the mask w, as masks in canonical order.
@@ -371,7 +371,7 @@ class Orthoset:
 
     def rank(self, budget: int | None = None) -> int:
         """Largest size of a perp-set; 0 for the empty orthoset."""
-        return max(m.bit_count() for m in self._maximal_perp_masks(self._full, clique_budget(budget)))
+        return max(m.bit_count() for m in self._maximal_perp_masks(self._full, resolve("clique", budget)))
 
     # ------------------------------------------------------- structural checks
 
@@ -408,7 +408,7 @@ class Orthoset:
 
         Raises BudgetExceededError when |X| exceeds the configured bound.
         """
-        limit = automorphism_bound(bound)
+        limit = resolve("automorphism", bound)
         if self.n > limit:
             raise BudgetExceededError(
                 f"transitivity search limited to {limit} elements, |X| = {self.n}"

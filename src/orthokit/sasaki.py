@@ -24,7 +24,7 @@ from itertools import accumulate, islice
 from operator import or_
 from typing import Any, Iterator, Mapping
 
-from .config import clique_budget as clique_budget_cfg, node_budget as node_budget_cfg
+from .config import resolve
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -191,7 +191,7 @@ class _MapSearch:
 
 def find_sasaki_map(x: Orthoset, a: Subset, budget: int | None = None) -> SasakiVerdict:
     """Lexicographically least Sasaki map to a, or a refutation trace."""
-    search = _MapSearch(x, *_require_orthoclosed(x, a), node_budget_cfg(budget))
+    search = _MapSearch(x, *_require_orthoclosed(x, a), resolve("nodes", budget))
     table = next(iter(search), None)
     if table is not None:
         return SasakiVerdict(True, SasakiMapWitness(a, table), None, search.nodes)
@@ -204,7 +204,7 @@ def count_sasaki_maps(x: Orthoset, a: Subset, limit: int = 2,
     """Up to `limit` Sasaki maps in lexicographic order (uniqueness checks)."""
     if limit < 1:
         raise InputError(f"map count limit must be at least 1, got {limit}")
-    search = _MapSearch(x, *_require_orthoclosed(x, a), node_budget_cfg(budget))
+    search = _MapSearch(x, *_require_orthoclosed(x, a), resolve("nodes", budget))
     return [SasakiMapWitness(a, t) for t in islice(search, limit)]
 
 
@@ -340,7 +340,7 @@ def is_sasaki_space(
     if mode == "naive":
         targets = x.orthoclosed_family(family_budget)
     elif mode == "reduced":
-        perps = {x._perp(d) for d in x._perp_set_masks(x._full, clique_budget_cfg(clique_budget))}
+        perps = {x._perp(d) for d in x._perp_set_masks(x._full, resolve("clique", clique_budget))}
         targets = [frozenset(_bits(m)) for m in sorted(perps, key=_mask_key)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -516,8 +516,8 @@ def sasaki_formula_check(
     if not space.is_sasaki:
         assert space.first_failure is not None
         raise HypothesisViolation("sasaki-space", x.labels_of(space.first_failure))
-    for am in x._closed_masks(family_budget):
-        a = frozenset(_bits(am))
+    for a in space.targets:
+        am = x._mask(a)
         table = space.witnesses[a].table
         aperp = x._perp(am)
         for e in _bits(x._full & ~aperp):
@@ -556,7 +556,7 @@ def property_report(
         rank=x.rank(clique_budget),
         point_closed=x.is_point_closed(),
         irreducible=x.is_irreducible(),
-        dacey=dacey_criterion(x, family_budget_=family_budget, clique_budget_=clique_budget),
+        dacey=dacey_criterion(x, family_budget, clique_budget),
         sasaki_naive=naive.as_verdict(x),
         sasaki_reduced=reduced.as_verdict(x),
         transitive=transitive,

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from orthokit import Orthoset, cli, corpus, lattice, snapshot
+from orthokit import Orthoset, cli, config, corpus, is_sasaki_space, lattice, snapshot
 
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schema"
@@ -195,6 +195,45 @@ def test_zero_budget_is_valid(capsys, monkeypatch, tmp_path):
     doc = envelope_of(out)
     assert doc["budgets"]["automorphism"] == 0
     assert doc["result"]["transitive"] is None
+
+
+@pytest.mark.parametrize("flag, env", [
+    (["--family-budget", "1"], {}),
+    (["--clique-budget", "0"], {}),
+    (["--node-budget", "0"], {}),
+    (["--automorphism-bound", "0"], {}),
+    ([], {"ORTHOKIT_FAMILY_BUDGET": "1"}),
+])
+def test_run_golden_enforces_the_budgets_it_echoes(capsys, monkeypatch, flag, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, ["corpus", "run-golden", "--format", "json"] + flag)
+    assert code == 3 and out == "" and err.startswith("error: budget exceeded: ")
+
+
+def defaults():
+    return {name: spec[0] for name, spec in config.BUDGETS.items()}
+
+
+def test_library_calls_do_not_read_the_environment(monkeypatch):
+    # every budget set to 0 by variable; only the CLI reads them
+    for _, env, _ in config.BUDGETS.values():
+        monkeypatch.setenv(env, "0")
+    x = corpus.get("complete4").build()
+    assert is_sasaki_space(x).is_sasaki
+    assert x.is_transitive().holds
+    assert corpus.mo_lattice(2).n == 6
+    assert {name: config.resolve(name) for name in config.BUDGETS} == defaults()
+
+
+def test_budgets_do_not_leak_between_runs(capsys):
+    flags = ["--family-budget", "1", "--clique-budget", "0", "--node-budget", "0",
+             "--automorphism-bound", "0", "--lattice-cap", "0"]
+    # one run ends in an error, the other returns normally
+    assert run(capsys, ["corpus", "run-golden"] + flags)[0] == 3
+    assert {name: config.resolve(name) for name in config.BUDGETS} == defaults()
+    assert run(capsys, ["corpus", "list"] + flags)[0] == 0
+    assert {name: config.resolve(name) for name in config.BUDGETS} == defaults()
 
 
 def test_finch_on_non_sasaki_space_is_a_domain_error(capsys, tmp_path):
@@ -468,11 +507,9 @@ def test_lattice_roundtrip_scans_covering_once(capsys, tmp_path, count_calls):
     assert len(calls) == 1
 
 
-def test_lattice_roundtrip_honours_lattice_cap(capsys, monkeypatch, tmp_path):
+def test_lattice_roundtrip_honours_lattice_cap(capsys, tmp_path):
     # MO32 has 66 elements, two above the default cap
-    monkeypatch.setenv("ORTHOKIT_LATTICE_CAP", "70")
-    doc = corpus.mo_lattice(32).to_json("mo32")
-    monkeypatch.delenv("ORTHOKIT_LATTICE_CAP")
+    doc = corpus.mo_lattice(32, cap=70).to_json("mo32")
     path = tmp_path / "mo32.json"
     path.write_text(json.dumps(doc))
     argv = ["lattice", str(path), "--lattice-cap", "70", "--format", "json"]

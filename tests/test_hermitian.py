@@ -313,6 +313,25 @@ def test_gaussian_scalar_rejected_in_rational_space():
         make_space([[GaussianRational(Fraction(1), Fraction(1))]], "Q")
 
 
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_inexact_entries_are_input_errors_that_name_them(field):
+    sp = make_space([["1", "0"], ["0", "1"]], field)
+    for bad in (0.1, 1j):
+        with pytest.raises(InputError, match=repr(bad)):
+            parse_vector([bad, 1], sp)
+        with pytest.raises(InputError, match=repr(bad)):
+            make_space([[bad, 0], [0, 1]], field)
+
+
+def test_exact_entries_stay_accepted():
+    one = GaussianRational(Fraction(1), Fraction(0))
+    q = make_space([[1, Fraction(0)], [0, Fraction(2)]], "Q")
+    assert parse_vector([2, Fraction(1, 3)], q) == (Fraction(2), Fraction(1, 3))
+    qi = make_space([[one, 0], [Fraction(0), 2]], "Qi")
+    assert parse_vector([one, Fraction(1, 3)], qi) == (one, GaussianRational(Fraction(1, 3), 0))
+    assert qi.gram == make_space([["1", "0"], ["0", "2"]], "Qi").gram
+
+
 # ------------------------------------------------------------- inner form
 
 
@@ -367,6 +386,17 @@ def test_containment_sum_intersection():
     meet = intersect_subspaces(s, t)
     assert meet.dim == 1
     assert format_vector(meet.basis[0]) == ["0", "1", "0"]
+
+
+def test_contains_checks_the_vector_length():
+    sp = make_space([["1", "0"], ["0", "1"]], "Q")
+    s = subspace(sp, [["1", "0"]])
+    assert contains(s, (Fraction(1), Fraction(0)))
+    # a longer vector must not be cut to the dimension, nor a shorter one
+    # reach the elimination
+    for vec in ((Fraction(1), Fraction(0), Fraction(5)), (Fraction(1),)):
+        with pytest.raises(DimensionMismatchError):
+            contains(s, vec)
 
 
 def test_perp_of_plane_matches_hand_computation():

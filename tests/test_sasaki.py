@@ -492,6 +492,13 @@ def test_formula_check_on_point_closed_sasaki_spaces():
         assert sasaki_formula_check(x_of(name)).holds, name
 
 
+@pytest.mark.parametrize("name", ["complete4", "two_edges"])
+def test_formula_check_enumerates_the_family_once(name, count_calls):
+    calls = count_calls(Orthoset, "_closed_masks")
+    assert sasaki_formula_check(x_of(name)).holds
+    assert len(calls) == 1
+
+
 def test_formula_check_rejects_non_point_closed():
     with pytest.raises(HypothesisViolation) as err:
         sasaki_formula_check(x_of("path4"))
