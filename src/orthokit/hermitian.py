@@ -60,6 +60,9 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Fraction | int, im: Fraction | int):
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"GaussianRational needs int or Fraction values, not {type(part).__name__}")
         re, im = Fraction(re), Fraction(im)
         # the triple over lcm(q, s) of p/q and r/s in lowest terms is already
         # reduced: a prime dividing d divides q (say) to the full power, so
@@ -79,9 +82,11 @@ class GaussianRational:
 
     @staticmethod
     def of(value: "GaussianRational | Fraction | int") -> "GaussianRational":
+        """value as a GaussianRational; a TypeError names any type but
+        GaussianRational, Fraction and int, so no float converts silently."""
         if isinstance(value, GaussianRational):
             return value
-        return GaussianRational(Fraction(value), Fraction(0))
+        return GaussianRational(value, 0)
 
     def __repr__(self) -> str:
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
@@ -396,6 +401,10 @@ def make_space(gram: Sequence[Sequence[Any]], field: str) -> HermitianSpace:
 def _coerce(value: Any, field: str) -> Scalar:
     if isinstance(value, (float, complex)):
         raise InputError(f"inexact scalar {value!r}; give an int, a Fraction or a scalar string")
+    if not isinstance(value, (int, Fraction, GaussianRational)):
+        raise InputError(
+            f"scalar entry {value!r} is not a number; give an int, a Fraction or a scalar string"
+        )
     if field == "Q":
         if isinstance(value, GaussianRational):
             raise InputError("Gaussian scalar in a rational space")
@@ -455,7 +464,9 @@ def inner(space: HermitianSpace, x: Vector, y: Vector) -> Scalar:
     The terms x_i g_ij star(y_j) are summed as integer real and imaginary
     numerators over one running common denominator (the lcm of the terms'
     denominators), and the sum is reduced once: a Fraction on Q, a
-    GaussianRational on Qi.
+    GaussianRational on Qi.  The vectors must hold exact scalars of the
+    space's field, as parse_vector, line and subspace give; entries are
+    not checked.
     """
     if len(x) != space.dim or len(y) != space.dim:
         raise DimensionMismatchError("vector length does not match the space dimension")
@@ -572,7 +583,9 @@ def perp_subspace(space: HermitianSpace, sub: Subspace) -> Subspace:
 
 
 def project(space: HermitianSpace, sub: Subspace, vec: Vector) -> Vector:
-    """Orthogonal projection onto sub via the exact gram system."""
+    """Orthogonal projection onto sub via the exact gram system.  vec must
+    hold exact scalars of the space's field, as parse_vector gives; its
+    entries are not checked."""
     if len(vec) != space.dim:
         raise DimensionMismatchError("vector length does not match the space dimension")
     if sub.dim == 0:

@@ -28,8 +28,7 @@ from .errors import (
     LatticeLawError,
     NotOrthomodularError,
 )
-from .orthoset import (ClosureTable, Orthoset, Subset, Verdict, _bits, _first_bijection,
-                       first_counterexample)
+from .orthoset import Orthoset, Subset, Verdict, _bits, _first_bijection, first_counterexample
 
 
 class OrthoLattice:
@@ -378,18 +377,14 @@ def orthoclosed_lattice(x: Orthoset, budget: int | None = None,
     Element i of the result is the i-th member of x.orthoclosed_family()
     in canonical order; labels render the member sets.
     """
-    return _table_lattice(x, ClosureTable(x, budget), cap)
-
-
-def _table_lattice(x: Orthoset, table: ClosureTable, cap: int | None) -> OrthoLattice:
-    labels = [set_label(x, s) for s in table.sets]
-    return OrthoLattice(labels, table.up, table.perp, cap=cap)
+    t = x.closure_table(budget)
+    return OrthoLattice([set_label(x, s) for s in t.sets], t.up, t.perp, cap=cap)
 
 
 def dacey_criterion(x: Orthoset, family_budget: int | None = None,
                     clique_budget: int | None = None) -> Verdict:
     """For every orthoclosed A and maximal perp-set D inside A: A = closure(D)."""
-    family = x._closed_masks(family_budget)
+    family = x.closure_table(family_budget).masks
     limit = resolve("clique", clique_budget)
     for a in family:
         for d in x._maximal_perp_masks(a, limit):
@@ -418,12 +413,6 @@ class LatticeIso:
     table: tuple[int, ...]
     source_labels: tuple[str, ...]
     target_labels: tuple[str, ...]
-
-    def as_dict(self) -> dict[str, str]:
-        return {
-            self.source_labels[i]: self.target_labels[self.table[i]]
-            for i in range(len(self.table))
-        }
 
 
 def check_lattice_iso(a: OrthoLattice, b: OrthoLattice, table: tuple[int, ...]) -> Verdict:
@@ -500,8 +489,8 @@ def _roundtrip_orthoset(x: Orthoset, budget: int | None, cap: int | None) -> Rou
     pc = x.is_point_closed()
     if not pc.holds:
         return RoundtripResult(False, "orthoset", hypothesis_failure=("point-closed", pc.witness))
-    closed = ClosureTable(x, budget)
-    lat = _table_lattice(x, closed, cap)
+    lat = orthoclosed_lattice(x, budget, cap)
+    closed = x.closure_table(budget)
     table = [closed.index[1 << e] for e in range(x.n)]
     if sorted(table) != sorted(lat.atoms):
         return RoundtripResult(False, "orthoset", detail="singletons do not exhaust the atoms")
@@ -525,8 +514,8 @@ def _roundtrip_lattice(lat: OrthoLattice, budget: int | None, cap: int | None) -
             False, "lattice", hypothesis_failure=("atomistic", rep.atomistic.witness)
         )
     x = atoms_to_orthoset(lat)
-    closed = ClosureTable(x, budget)
-    produced = _table_lattice(x, closed, cap)
+    produced = orthoclosed_lattice(x, budget, cap)
+    closed = x.closure_table(budget)
     table: list[int] = []
     for p in range(lat.n):
         below = sum(1 << k for k, a in enumerate(lat.atoms) if lat.leq(a, p))

@@ -10,16 +10,18 @@ parent orthoset; each public method validates its argument once.
 Internally every subset is an int mask (bit i is element i), and one
 unchecked kernel, Orthoset._perp, computes every perp.  The canonical order
 on subsets, used everywhere a deterministic enumeration is promised, is
-(cardinality, lexicographic on sorted indices).  Predicates that read many
-closures of one orthoset go through a ClosureTable: the family indexed by
-canonical position.  Every search here (perp-set enumeration,
-Bron-Kerbosch, and the bijection search under is_transitive and the
-lattice isomorphism search) is a loop on an explicit stack, so no
-recursion limit bounds it.
+(cardinality, lexicographic on sorted indices).  Every reader of the
+orthoclosed family goes through Orthoset.closure_table, which enumerates it
+once per orthoset and keeps it as a ClosureTable.  Every search here
+(perp-set enumeration, Bron-Kerbosch, and the bijection search under
+is_transitive and the lattice isomorphism search) is a loop on an explicit
+stack, so no recursion limit bounds it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import and_
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .config import resolve
@@ -154,6 +156,8 @@ class Orthoset:
         # the kernel's view of adj: the point perps as masks
         object.__setattr__(self, "_adj", tuple(sum(1 << j for j in nb) for nb in self.adj))
         object.__setattr__(self, "_full", (1 << n) - 1)
+        # set now: an attribute added after construction slows reads on the instance
+        object.__setattr__(self, "_closure_table", None)
 
     # ---------------------------------------------------------------- build
 
@@ -273,7 +277,18 @@ class Orthoset:
 
     def orthoclosed_family(self, budget: int | None = None) -> list[Subset]:
         """All orthoclosed sets, in canonical order."""
-        return [frozenset(_bits(m)) for m in self._closed_masks(budget)]
+        return list(self.closure_table(budget).sets)
+
+    def closure_table(self, budget: int | None = None) -> "ClosureTable":
+        """The family as a ClosureTable, enumerated on the first call and kept
+        outside the fields; each call checks `budget` as the enumeration does."""
+        t = self._closure_table
+        if t is None:
+            t = ClosureTable(self, budget)
+            object.__setattr__(self, "_closure_table", t)
+        elif len(t.masks) > (limit := resolve("family", budget)):
+            raise _family_budget_error(limit)
+        return t
 
     def _closed_masks(self, budget: int | None = None) -> list[int]:
         """The orthoclosed family as masks, in canonical order.
@@ -293,9 +308,7 @@ class Orthoset:
                     if s not in family:
                         family.add(s)
                         if len(family) > limit:
-                            raise BudgetExceededError(
-                                f"orthoclosed family exceeds budget of {limit} sets"
-                            )
+                            raise _family_budget_error(limit)
                         fresh.append(s)
             frontier = fresh
         return sorted(family, key=_mask_key)
@@ -453,34 +466,40 @@ class Orthoset:
         return iter(range(self.n))
 
 
+def _family_budget_error(limit: int) -> BudgetExceededError:
+    return BudgetExceededError(f"orthoclosed family exceeds budget of {limit} sets")
+
+
 class ClosureTable:
     """The orthoclosed family of one orthoset, addressed by position.
 
-    The family is enumerated once, as masks in canonical order, within the
-    family budget.  Positions then agree with the element order of the
-    orthoclosed lattice, and every double perp lands on a member, so
-    closures, perps, joins and inclusions all come back as positions.
-    Masks given to the table are not validated: it is an internal kernel,
-    the frozenset methods of Orthoset stay the public, checked interface.
+    Built once per orthoset, by Orthoset.closure_table: masks in canonical
+    order, so positions agree with the orthoclosed lattice, and perps, joins
+    and inclusions come back as positions.  `perp` and `up` are built on
+    first read, since a Sasaki search over the family reads only the sets.
+    It keeps the adjacency masks, not the orthoset that keeps it, as a cycle
+    would delay freeing the orthoset.  Masks are not validated.
     """
 
     def __init__(self, x: Orthoset, budget: int | None = None):
-        self._perp = x._perp
+        self._adj, self._full = x._adj, x._full
         self.masks: tuple[int, ...] = tuple(x._closed_masks(budget))
         self.sets: tuple[Subset, ...] = tuple(frozenset(_bits(m)) for m in self.masks)
         self.index: dict[int, int] = {m: i for i, m in enumerate(self.masks)}
-        # perp of a member, as a position
-        self.perp: tuple[int, ...] = tuple(self.index[self._perp(m)] for m in self.masks)
-        # up[i] has bit j set iff member i is contained in member j
-        self.up: tuple[int, ...] = tuple(
+
+    @cached_property
+    def perp(self) -> tuple[int, ...]:
+        """perp[i]: position of the perp of member i, the AND of its point perps."""
+        adj, full = self._adj, self._full
+        return tuple(self.index[reduce(and_, map(adj.__getitem__, _bits(m)), full)] for m in self.masks)
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """up[i] has bit j set iff member i is contained in member j."""
+        return tuple(
             sum(1 << j for j, mj in enumerate(self.masks) if mi & mj == mi)
             for mi in self.masks
         )
-
-    def close(self, m: int) -> int:
-        """Position of the double perp of a mask.  A single perp is already
-        orthoclosed, so the second one is a lookup."""
-        return self.perp[self.index[self._perp(m)]]
 
     def join(self, i: int, j: int) -> int:
         """Position of the closure of the union of members i and j: the perp

@@ -437,7 +437,7 @@ def finch_report(
             f"not a Sasaki space; first failing target {tuple(x.labels_of(space.first_failure))!r}",
             failure=space.failure,
         )
-    return FinchReport(laws=_finch_laws(x, ClosureTable(x, family_budget), space.witnesses))
+    return FinchReport(laws=_finch_laws(x, x.closure_table(family_budget), space.witnesses))
 
 
 def _finch_laws(
@@ -460,7 +460,7 @@ def _finch_laws(
         outside = ~t.masks[perp[a]]
         # the set of image bits, summed, is the mask of the image
         bar.append([
-            t.close(sum({1 << table[e] for e in _bits(t.masks[b] & outside)}))
+            perp[t.index[x._perp(sum({1 << table[e] for e in _bits(t.masks[b] & outside)}))]]
             for b in r
         ])
     join = [[t.join(b, c) for c in r] for b in r]

@@ -649,6 +649,20 @@ def test_hermitian_check_rejects_anisotropy_failure(capsys, tmp_path):
     assert code == 2 and "minor" in err
 
 
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+@pytest.mark.parametrize("doc, entry", [
+    ({"gram": [[None, 0], [0, 1]]}, "None"),
+    ({"gram": [[1, 0], [0, 1]], "subspace": [[None, 1]]}, "None"),
+    ({"gram": [[1, 0], [0, 1]], "subspace": [[1, 0]], "lines": [[{"a": 1}, 1]]}, "{'a': 1}"),
+])
+def test_hermitian_check_non_numeric_entry_is_an_input_error(capsys, tmp_path, field, doc, entry):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"field": field, **doc}))
+    code, out, err = run(capsys, ["hermitian", "check", str(path)])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and entry in err
+
+
 def test_hermitian_fuzz_smoke(capsys):
     code, out, _ = run(
         capsys,

@@ -5,7 +5,7 @@
 
 import pytest
 
-from orthokit import BudgetExceededError, FixtureError, InputError, find_lattice_iso
+from orthokit import BudgetExceededError, FixtureError, InputError, Orthoset, find_lattice_iso
 from orthokit import corpus
 
 
@@ -50,6 +50,14 @@ def test_run_golden_is_all_green():
             k: (v.expected, v.actual)
             for k, v in outcome.checks.items() if not v.ok
         })
+
+
+def test_run_golden_enumerates_each_family_once(count_calls):
+    calls = count_calls(Orthoset, "_closed_masks")
+    assert all(o.ok for o in corpus.run_golden())
+    orthosets = [n for n in corpus.list_names() if corpus.get(n).kind == "orthoset"]
+    assert len(orthosets) == 6
+    assert len(calls) == len({id(args[0]) for args in calls}) == len(orthosets)
 
 
 def test_run_golden_honors_name_filter():

@@ -6,6 +6,7 @@
 import gc
 import importlib
 import random
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -96,6 +97,27 @@ def test_gaussian_mixes_with_ints_and_fractions():
     assert 2 * i == GaussianRational(Fraction(0), Fraction(2))
     assert i - Fraction(1, 2) == GaussianRational(Fraction(-1, 2), Fraction(1))
     assert i * i == -1
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: GaussianRational(1, 0) + 0.1, "float"),
+    (lambda: 0.1 + GaussianRational(1, 0), "float"),
+    (lambda: GaussianRational(1, 0) - 0.5, "float"),
+    (lambda: 0.5 - GaussianRational(1, 0), "float"),
+    (lambda: GaussianRational(1, 0) * 0.5, "float"),
+    (lambda: GaussianRational(1, 0) / 0.5, "float"),
+    (lambda: 0.5 / GaussianRational(1, 0), "float"),
+    (lambda: GaussianRational(1, 0) + 1j, "complex"),
+    (lambda: 1j * GaussianRational(1, 0), "complex"),
+    (lambda: GaussianRational(0.5, 0), "float"),
+    (lambda: GaussianRational(0, 1j), "complex"),
+    (lambda: GaussianRational.of(0.5), "float"),
+    (lambda: GaussianRational.of(1j), "complex"),
+    (lambda: GaussianRational.of("1/2"), "str"),
+])
+def test_gaussian_refuses_inexact_operands_by_type(make, name):
+    with pytest.raises(TypeError, match=f"not {name}$"):
+        make()
 
 
 def fractions_():
@@ -321,6 +343,18 @@ def test_inexact_entries_are_input_errors_that_name_them(field):
             parse_vector([bad, 1], sp)
         with pytest.raises(InputError, match=repr(bad)):
             make_space([[bad, 0], [0, 1]], field)
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_non_numeric_entries_are_input_errors_that_name_them(field):
+    sp = make_space([["1", "0"], ["0", "1"]], field)
+    for bad in (None, [1], {"a": 1}):
+        with pytest.raises(InputError, match=re.escape(repr(bad))):
+            parse_vector([bad, 1], sp)
+        with pytest.raises(InputError, match=re.escape(repr(bad))):
+            make_space([[bad, 0], [0, 1]], field)
+        with pytest.raises(InputError, match=re.escape(repr(bad))):
+            subspace(sp, [[1, bad]])
 
 
 def test_exact_entries_stay_accepted():

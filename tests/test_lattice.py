@@ -382,17 +382,9 @@ def test_roundtrip_lattice_side():
     assert rt.hypothesis_failure[0] == "atomistic"
 
 
-def test_roundtrip_enumerates_the_family_once(monkeypatch):
-    # every enumeration, orthoclosed_family and ClosureTable alike, is a
-    # call of the mask enumerator
-    calls = []
-    enumerate_family = Orthoset._closed_masks
-
-    def counted(self, budget=None):
-        calls.append(self.n)
-        return enumerate_family(self, budget)
-
-    monkeypatch.setattr(Orthoset, "_closed_masks", counted)
+def test_roundtrip_enumerates_the_family_once(count_calls):
+    # every enumeration is a call of the mask enumerator
+    calls = count_calls(Orthoset, "_closed_masks")
     for obj in (corpus.get("horizontal_sum_atoms").build(), lat_of("horizontal_sum_lattice")):
         calls.clear()
         assert roundtrip_check(obj).ok

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import permutations
 
 import pytest
@@ -166,13 +168,38 @@ def test_closure_table_matches_scan_oracles(x):
         assert t.sets[t.perp[i]] == perp_by_scan(x, s)
     for m in range(1 << x.n):
         s = frozenset(i for i in range(x.n) if m >> i & 1)
-        assert t.sets[t.close(m)] == perp_by_scan(x, perp_by_scan(x, s))
+        assert t.sets[t.perp[t.index[x._perp(m)]]] == perp_by_scan(x, perp_by_scan(x, s))
 
 
 def test_family_budget_enforced():
     x = corpus.get("complete4").build()  # 16 orthoclosed sets
     with pytest.raises(BudgetExceededError):
         x.orthoclosed_family(budget=7)
+
+
+def test_closure_table_is_kept_and_enumerated_once(count_calls):
+    calls = count_calls(Orthoset, "_closed_masks")
+    x = corpus.get("complete4").build()
+    t = x.closure_table()
+    assert x.closure_table() is t and x.closure_table(budget=16) is t
+    assert x.orthoclosed_family() == list(t.sets)
+    assert len(calls) == 1
+    # the kept table is not a field
+    assert x == corpus.get("complete4").build()
+    assert hash(x) == hash(corpus.get("complete4").build())
+
+
+def test_closure_table_holds_no_reference_to_its_orthoset():
+    x = corpus.get("complete4").build()
+    t = x.closure_table()
+    assert t.perp and t.up
+    ref = weakref.ref(x)
+    gc.disable()
+    try:
+        del x
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------- cliques and rank

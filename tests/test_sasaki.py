@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orthokit import (
+    BudgetExceededError,
     HypothesisViolation,
     MapDomainError,
     NotOrthoclosedError,
@@ -492,6 +493,12 @@ def test_formula_check_on_point_closed_sasaki_spaces():
         assert sasaki_formula_check(x_of(name)).holds, name
 
 
+def test_finch_enumerates_the_family_once(count_calls):
+    calls = count_calls(Orthoset, "_closed_masks")
+    assert finch_report(x_of("complete4")).ok
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", ["complete4", "two_edges"])
 def test_formula_check_enumerates_the_family_once(name, count_calls):
     calls = count_calls(Orthoset, "_closed_masks")
@@ -523,6 +530,28 @@ def test_property_report_bundles_verdicts():
     assert not rep.sasaki_naive.holds
     assert not rep.sasaki_reduced.holds
     assert rep.transitive is not None and not rep.transitive.holds
+
+
+def test_property_report_enumerates_the_family_once(count_calls):
+    calls = count_calls(Orthoset, "_closed_masks")
+    assert property_report(x_of("complete4")).dacey.holds
+    assert len(calls) == 1
+
+
+def test_readers_of_a_kept_family_check_their_budget():
+    """complete4 has 16 orthoclosed sets; once they are enumerated, each
+    reader still refuses a smaller family budget, with the enumeration's
+    own message."""
+    x = x_of("complete4")
+    assert len(x.orthoclosed_family()) == 16
+    for budget, call in [
+        (7, lambda: x.orthoclosed_family(budget=7)),
+        (15, lambda: lattice.dacey_criterion(x, family_budget=15)),
+        (3, lambda: finch_report(x, family_budget=3)),
+    ]:
+        with pytest.raises(BudgetExceededError) as err:
+            call()
+        assert str(err.value) == f"orthoclosed family exceeds budget of {budget} sets"
 
 
 def test_property_report_transitive_skipped_over_bound():
