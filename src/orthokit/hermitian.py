@@ -401,7 +401,8 @@ def make_space(gram: Sequence[Sequence[Any]], field: str) -> HermitianSpace:
 def _coerce(value: Any, field: str) -> Scalar:
     if isinstance(value, (float, complex)):
         raise InputError(f"inexact scalar {value!r}; give an int, a Fraction or a scalar string")
-    if not isinstance(value, (int, Fraction, GaussianRational)):
+    # a JSON boolean is an int to Python, but not a scalar entry
+    if not isinstance(value, (int, Fraction, GaussianRational)) or type(value) is bool:
         raise InputError(
             f"scalar entry {value!r} is not a number; give an int, a Fraction or a scalar string"
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .config import resolve
 from .errors import (
@@ -292,8 +292,10 @@ def sasaki_projection(lat: OrthoLattice, x: int, y: int) -> int:
 
 
 def is_basic(lat: OrthoLattice, x: int) -> bool:
-    """Basic element: an atom or the bottom."""
-    return x == lat.bottom or x in lat.atoms
+    """Basic element: an atom or the bottom, that is, an element with at
+    most one element strictly below it, read off the bit count of its
+    down-set."""
+    return lat.down[x].bit_count() <= 2
 
 
 def projection_facts(lat: OrthoLattice) -> dict[str, Verdict]:
@@ -304,6 +306,11 @@ def projection_facts(lat: OrthoLattice) -> dict[str, Verdict]:
       (b) pi_x(ortho(pi_x(ortho(y)))) <= y
       (c) pi_x(y) = 0 iff y <= ortho(x)
       (d) pi_x(y) orthogonal to z iff y orthogonal to pi_x(z)
+
+    All four read one n^2 table of projections.  Law (d) is n^2 mask
+    comparisons (one per pair x, y) rather than a scan of the triples;
+    the triple scan is kept in the test oracles, and both report the same
+    first (x, y, z).
 
     The input must be orthomodular; (a) alone is equivalent to the
     orthomodular law, so running this on anything else only rediscovers
@@ -330,12 +337,35 @@ def projection_facts(lat: OrthoLattice) -> dict[str, Verdict]:
              if (pi[x][y] == lat.bottom) != (up[y] >> ortho[x] & 1)),
             render,
         ),
-        "d_self_adjoint": first_counterexample(
-            ((x, y, z) for x in r for y in r for z in r
-             if (up[pi[x][y]] >> ortho[z] & 1) != (up[y] >> ortho[pi[x][z]] & 1)),
-            render,
-        ),
+        "d_self_adjoint": first_counterexample(_self_adjoint_failures(lat, pi), render),
     }
+
+
+def _self_adjoint_failures(lat: OrthoLattice,
+                           pi: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:
+    """The triples (x, y, z) where law (d) fails for the projection table
+    pi, in the order of a scan over x, then y, then z.
+
+    pi_x(y) is orthogonal to z iff z <= ortho(pi_x(y)), and y is orthogonal
+    to pi_x(z) iff pi_x(z) <= ortho(y).  So for each x, with below[t] the
+    mask of the z whose projection lies under t, the z that break the law
+    for y are the bits of down[ortho[pi_x(y)]] ^ below[ortho[y]]; each
+    (x, y) yields its lowest one."""
+    n, up, down, ortho = lat.n, lat.up, lat.down, lat.ortho
+    for x in range(n):
+        row = pi[x]
+        # the z with the same projection w, then each group under every t >= w
+        groups: dict[int, int] = {}
+        for z, w in enumerate(row):
+            groups[w] = groups.get(w, 0) | 1 << z
+        below = [0] * n
+        for w, zs in groups.items():
+            for t in _bits(up[w]):
+                below[t] |= zs
+        for y in range(n):
+            diff = down[ortho[row[y]]] ^ below[ortho[y]]
+            if diff:
+                yield x, y, (diff & -diff).bit_length() - 1
 
 
 # ------------------------------------------------------------------ bridges

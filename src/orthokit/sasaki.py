@@ -102,10 +102,15 @@ def is_sasaki_map(x: Orthoset, a: Subset, table: Mapping[int, int]) -> Verdict:
     """Check a candidate table against the Sasaki map conditions.
 
     Domain and range problems are input errors; condition failures are
-    verdicts carrying the first violated element or ordered pair.
+    verdicts carrying the first violated element or ordered pair.  The
+    adjointness pairs (e, f) are read in index order one row at a time:
+    the f with phi(e) orth f form the mask adj[phi(e)], the f with
+    e orth phi(f) the union of the preimages of the values orthogonal to
+    e, and the first f where the two masks differ is the witness.
     """
-    _, aperp = _require_orthoclosed(x, a)
-    domain = frozenset(_bits(x._full & ~aperp))
+    am, aperp = _require_orthoclosed(x, a)
+    dom = x._full & ~aperp
+    domain = frozenset(_bits(dom))
     if frozenset(table) != domain:
         raise MapDomainError(
             f"domain must be exactly the complement of the perp of the target; "
@@ -119,11 +124,18 @@ def is_sasaki_map(x: Orthoset, a: Subset, table: Mapping[int, int]) -> Verdict:
     for e in sorted(a):
         if table[e] != e:
             return Verdict(False, witness=("fixes-target", x.labels[e]))
-    dom = sorted(domain)
-    for e in dom:
-        for f in dom:
-            if (table[e] in x.adj[f]) != (e in x.adj[table[f]]):
-                return Verdict(False, witness=("adjointness", (x.labels[e], x.labels[f])))
+    adj = x._adj
+    pre = [0] * x.n
+    for e, v in table.items():
+        pre[v] |= 1 << e
+    for e in _bits(dom):
+        sent_orth = 0
+        for v in _bits(adj[e] & am):
+            sent_orth |= pre[v]
+        diff = (adj[table[e]] & dom) ^ sent_orth
+        if diff:
+            f = (diff & -diff).bit_length() - 1
+            return Verdict(False, witness=("adjointness", (x.labels[e], x.labels[f])))
     return Verdict(True)
 
 

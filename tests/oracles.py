@@ -75,6 +75,23 @@ def sasaki_maps_by_scan(x: Orthoset, a: Subset) -> list[dict]:
     return out
 
 
+def sasaki_map_check_by_scan(x: Orthoset, a: Subset, table: dict) -> tuple:
+    """is_sasaki_map on a table with the right domain and range, as
+    (holds, witness): the first element of a, in index order, that the
+    table moves, else the first ordered pair (e, f) of the domain, in
+    index order, where phi(e) orth f differs from e orth phi(f), both read
+    off the x.adj frozensets."""
+    for e in sorted(a):
+        if table[e] != e:
+            return (False, ("fixes-target", x.labels[e]))
+    dom = sorted(table)
+    for e in dom:
+        for f in dom:
+            if (table[e] in x.adj[f]) != (e in x.adj[table[f]]):
+                return (False, ("adjointness", (x.labels[e], x.labels[f])))
+    return (True, None)
+
+
 def automorphism_by_scan(x: Orthoset, e: int, f: int) -> list | None:
     """The first automorphism of x that sends e to f and fixes every
     element orthogonal to both, as a value list, or None: e and the fixed
@@ -228,6 +245,20 @@ def basic_to_basic_by_scan(lat):
             if p != bottom and p not in atoms:
                 return (False, (lat.labels[x], lat.labels[a], lat.labels[p]))
     return (True, None)
+
+
+def self_adjoint_by_scan(lat, pi):
+    """The first triple (x, y, z), scanning x, then y, then z, where law
+    (d) of projection_facts fails for the projection table pi: pi_x(y)
+    orth z differs from y orth pi_x(z), with u orth v read as
+    up[u] >> ortho[v] & 1.  None when the law holds."""
+    r = range(lat.n)
+    up, ortho = lat.up, lat.ortho
+    return next(
+        ((x, y, z) for x in r for y in r for z in r
+         if (up[pi[x][y]] >> ortho[z] & 1) != (up[y] >> ortho[pi[x][z]] & 1)),
+        None,
+    )
 
 
 def meet_join_by_scan(lat):

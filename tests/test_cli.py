@@ -334,13 +334,12 @@ LARGE_COMMANDS = {
     "oml": ["oml"],
     "project": ["oml", "--project", "x1"],
 }
-# case, input, extra flags, and the exit code of each command; plain oml
-# is left out under the raised cap, where its law (d) scan is n^3
+# case, input, extra flags, and the exit code of each command
 LARGE_CASES = [
     ("k1050", "k1050", [], dict(check=3, sasaki=3, reduced=3, finch=3, roundtrip=3, oml=2, project=2)),
     ("pair1100", "pair1100", [], dict(check=0, sasaki=0, reduced=0, finch=0, roundtrip=0, oml=2, project=2)),
     ("mo500-cap2000", "mo500", ["--lattice-cap", "2000"],
-     dict(check=2, sasaki=2, reduced=2, finch=2, roundtrip=0, project=0)),
+     dict(check=2, sasaki=2, reduced=2, finch=2, roundtrip=0, oml=0, project=0)),
     ("mo500", "mo500", [], dict(check=2, sasaki=2, reduced=2, finch=2, roundtrip=3, oml=3, project=3)),
 ]
 
@@ -654,6 +653,8 @@ def test_hermitian_check_rejects_anisotropy_failure(capsys, tmp_path):
     ({"gram": [[None, 0], [0, 1]]}, "None"),
     ({"gram": [[1, 0], [0, 1]], "subspace": [[None, 1]]}, "None"),
     ({"gram": [[1, 0], [0, 1]], "subspace": [[1, 0]], "lines": [[{"a": 1}, 1]]}, "{'a': 1}"),
+    ({"gram": [[True, 0], [0, 1]], "subspace": [[1, False]]}, "True"),
+    ({"gram": [[1, 0], [0, 1]], "subspace": [[1, False]]}, "False"),
 ])
 def test_hermitian_check_non_numeric_entry_is_an_input_error(capsys, tmp_path, field, doc, entry):
     path = tmp_path / "space.json"

@@ -357,6 +357,19 @@ def test_non_numeric_entries_are_input_errors_that_name_them(field):
             subspace(sp, [[1, bad]])
 
 
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_boolean_entries_are_input_errors_that_name_them(field):
+    # bool subclasses int, but a JSON true or false is no scalar
+    sp = make_space([["1", "0"], ["0", "1"]], field)
+    for bad in (True, False):
+        with pytest.raises(InputError, match=repr(bad)):
+            parse_vector([bad, 1], sp)
+        with pytest.raises(InputError, match=repr(bad)):
+            make_space([[bad, 0], [0, 1]], field)
+        with pytest.raises(InputError, match=repr(bad)):
+            subspace(sp, [[1, bad]])
+
+
 def test_exact_entries_stay_accepted():
     one = GaussianRational(Fraction(1), Fraction(0))
     q = make_space([[1, Fraction(0)], [0, Fraction(2)]], "Q")

@@ -28,7 +28,13 @@ from orthokit import (
 )
 from orthokit import corpus, lattice
 
-from oracles import basic_to_basic_by_scan, covering_by_scan, lattice_iso_by_scan, meet_join_by_scan
+from oracles import (
+    basic_to_basic_by_scan,
+    covering_by_scan,
+    lattice_iso_by_scan,
+    meet_join_by_scan,
+    self_adjoint_by_scan,
+)
 
 
 def lat_of(name):
@@ -281,6 +287,35 @@ def test_projection_facts_project_each_pair_once(count_calls):
     assert len(calls) == 256
 
 
+def test_self_adjoint_law_matches_scan_oracle_on_corrupted_tables():
+    """Law (d) holds on every orthomodular lattice, so its failing branch
+    is reached only through corrupted projection tables: each moves one
+    entry pi_x(y) to another element.  The first failing (x, y, z) must be
+    the triple scan's, and None where the scan finds none (as on the
+    uncorrupted tables)."""
+    lats = {
+        "B3": corpus.boolean_lattice(3),
+        "MO3": corpus.mo_lattice(3),
+        "B2+B3": corpus.horizontal_sum(corpus.boolean_lattice(2), corpus.boolean_lattice(3)),
+        "B4": corpus.boolean_lattice(4),
+    }
+    rng = random.Random(12)
+    failures = 0
+    for name, lat in lats.items():
+        r = range(lat.n)
+        pi = [[sasaki_projection(lat, x, y) for y in r] for x in r]
+        assert next(lattice._self_adjoint_failures(lat, pi), None) is None
+        assert self_adjoint_by_scan(lat, pi) is None
+        for _ in range(300):
+            x, y = rng.randrange(lat.n), rng.randrange(lat.n)
+            bad = [row[:] for row in pi]
+            bad[x][y] = rng.choice([v for v in r if v != pi[x][y]])
+            got = next(lattice._self_adjoint_failures(lat, bad), None)
+            assert got == self_adjoint_by_scan(lat, bad), (name, x, y, bad[x][y])
+            failures += got is not None
+    assert failures > 0
+
+
 def test_atoms_and_covering_reads_masks_not_leq(count_calls):
     # both scans read the atoms below x, and those not below it, off
     # down[x]: asked pair by pair, B4 would make 16 * 4 = 64 leq calls in
@@ -346,6 +381,12 @@ def test_is_basic():
     assert is_basic(lat, lat.bottom)
     assert is_basic(lat, lat.index("a"))
     assert not is_basic(lat, lat.top)
+    lats = [corpus.boolean_lattice(n) for n in range(1, 5)] + [corpus.mo_lattice(4)]
+    lats += [lat_of(name) for name in ("benzene", "horizontal_sum_lattice")]
+    for lat in lats:
+        assert [is_basic(lat, x) for x in range(lat.n)] == [
+            x == lat.bottom or x in lat.atoms for x in range(lat.n)
+        ]
 
 
 # ---------------------------------------------------------------- bridges

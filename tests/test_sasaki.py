@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,7 +30,7 @@ from orthokit import corpus, lattice
 from orthokit.orthoset import ClosureTable
 from orthokit.sasaki import SasakiMapWitness, _finch_laws
 
-from oracles import finch_laws_by_scan, sasaki_maps_by_scan
+from oracles import finch_laws_by_scan, sasaki_map_check_by_scan, sasaki_maps_by_scan
 
 
 def x_of(name):
@@ -104,6 +107,37 @@ def test_is_sasaki_map_flags_adjointness_failure():
     }
     v = is_sasaki_map(x, a, table)
     assert not v.holds and v.witness[0] == "adjointness"
+
+
+def test_is_sasaki_map_matches_scan_oracle_on_random_tables():
+    """For every target of random orthosets with n from 6 to 11: the
+    Sasaki map when one exists, seeded random tables that fix the target,
+    and single-value corruptions of each, which may also move a fixed
+    point.  Verdict and first witness must be the oracle's."""
+    rng = random.Random(5)
+    kinds = set()
+    for n in range(6, 12):
+        for p, seed in product((0.3, 0.5, 0.7), range(3)):
+            x = corpus.random_orthoset(n, p, seed)
+            for a in x.orthoclosed_family():
+                dom = sorted(frozenset(range(x.n)) - x.perp(a))
+                values = sorted(a)
+                tables = [
+                    {e: e if e in a else rng.choice(values) for e in dom} for _ in range(2)
+                ]
+                found = find_sasaki_map(x, a)
+                if found.exists:
+                    tables.append(found.witness.table)
+                for table in list(tables) if dom else []:
+                    for _ in range(2):
+                        e = rng.choice(dom)
+                        tables.append({**table, e: rng.choice(values)})
+                for table in tables:
+                    v = is_sasaki_map(x, a, table)
+                    want = sasaki_map_check_by_scan(x, a, table)
+                    assert (v.holds, v.witness) == want, (n, p, seed, a, table)
+                    kinds.add(v.witness[0] if v.witness else None)
+    assert kinds == {None, "fixes-target", "adjointness"}
 
 
 # ------------------------------------------------------------- searching
