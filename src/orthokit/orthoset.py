@@ -475,8 +475,8 @@ class ClosureTable:
 
     Built once per orthoset, by Orthoset.closure_table: masks in canonical
     order, so positions agree with the orthoclosed lattice, and perps, joins
-    and inclusions come back as positions.  `perp` and `up` are built on
-    first read, since a Sasaki search over the family reads only the sets.
+    and inclusions come back as positions.  `perp`, `up` and `down` are built
+    on first read, since a Sasaki search over the family reads only the sets.
     It keeps the adjacency masks, not the orthoset that keeps it, as a cycle
     would delay freeing the orthoset.  Masks are not validated.
     """
@@ -500,6 +500,16 @@ class ClosureTable:
             sum(1 << j for j, mj in enumerate(self.masks) if mi & mj == mi)
             for mi in self.masks
         )
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """down[j] has bit i set iff member i is contained in member j: the
+        transpose of `up`."""
+        down = [0] * len(self.masks)
+        for i, row in enumerate(self.up):
+            for j in _bits(row):
+                down[j] |= 1 << i
+        return tuple(down)
 
     def join(self, i: int, j: int) -> int:
         """Position of the closure of the union of members i and j: the perp

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import or_
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 from .config import resolve
 from .errors import (
@@ -90,12 +90,23 @@ class SasakiVerdict:
 
 
 def _require_orthoclosed(x: Orthoset, a: Subset) -> tuple[int, int]:
-    """The masks of a and of its perp, unless a is not orthoclosed."""
+    """The masks of a and of its perp, unless a is not orthoclosed.
+
+    Once x keeps its closure table, a is looked up there and its perp read
+    from it; without one, the two perps are computed.  The table is never
+    built here: enumerating the family for one target could exceed the
+    family budget on a valid input."""
     m = x._mask(a)
-    perp = x._perp(m)
-    if x._perp(perp) != m:
-        raise NotOrthoclosedError(f"target {x._labels(m)!r} is not orthoclosed")
-    return m, perp
+    t = x._closure_table
+    if t is not None:
+        i = t.index.get(m)
+        if i is not None:
+            return m, t.masks[t.perp[i]]
+    else:
+        perp = x._perp(m)
+        if x._perp(perp) == m:
+            return m, perp
+    raise NotOrthoclosedError(f"target {x._labels(m)!r} is not orthoclosed")
 
 
 def is_sasaki_map(x: Orthoset, a: Subset, table: Mapping[int, int]) -> Verdict:
@@ -146,10 +157,10 @@ class _MapSearch:
     g when v orth g differs from e orth phi(g); the first such g in a, else
     the first free one, is recorded with the pruned branch in `trace`.
 
-    A root wipe-out needs no deeper search: a free e whose signature
-    adj[e] & a is the signature of no value v in a clashes with every v at
-    the fixed points, so it is moved to the front of `free`, and the loop
-    records its |A| tries and backs out with no map."""
+    A root wipe-out needs no search: a free e whose signature adj[e] & a is
+    the signature of no value v in a clashes with every v at the fixed
+    points, so it is moved to the front of `free`, and its |A| tries are
+    recorded, as the loop would record them, without entering the loop."""
 
     def __init__(self, x: Orthoset, a: int, aperp: int, budget: int):
         adj = self.adj = x._adj
@@ -158,14 +169,25 @@ class _MapSearch:
         self.free = list(_bits(x._full & ~aperp & ~a))
         self.trace: list[tuple[tuple[int, ...], tuple[int, int]]] = []
         self.nodes = 0
+        self.wiped: int | None = None
         signatures = {adj[v] & a for v in self.fixed}
         for e in self.free:
             if adj[e] & a not in signatures:
                 self.free = [e] + [f for f in self.free if f != e]
+                self.wiped = e
                 break
 
     def __iter__(self) -> Iterator[dict[int, int]]:
         adj, a, fixed, free, trace = self.adj, self.a, self.fixed, self.free, self.trace
+        if (e := self.wiped) is not None:
+            if len(fixed) > self.budget:
+                raise BudgetExceededError(f"sasaki search exceeded {self.budget} nodes")
+            self.nodes = len(fixed)
+            for v in fixed:
+                # v clashes with e at the fixed points where their signatures differ
+                clash = (adj[v] ^ adj[e]) & a
+                trace.append(((v,), (e, (clash & -clash).bit_length() - 1)))
+            return
         # owned[k]: the elements assigned while free[k] is tried
         owned = list(accumulate((1 << f for f in free), or_, initial=a))
         prefix: list[int] = []  # the values of free[0..k-1]
@@ -461,11 +483,11 @@ def _finch_laws(
     family positions.
 
     `t` is x's closure table.  Each induced value bar[a][b] is one mask
-    closure; the law loops are then lookups in the table, since every set
-    they name is a member.
+    closure; the law loops then read rows of bar and of the table, since
+    every set they name is a member.
     """
     r = range(len(t.sets))
-    up, perp, top = t.up, t.perp, t.index[x._full]
+    perp = t.perp
     bar: list[list[int]] = []
     for a in r:
         table = witnesses[t.sets[a]].table
@@ -480,33 +502,86 @@ def _finch_laws(
     def render(w: tuple[int, ...]) -> tuple[tuple[str, ...], ...]:
         return tuple(x.labels_of(t.sets[i]) for i in w)
 
+    failures = _finch_law_failures(t.up, t.down, perp, join, bar, t.index[x._full])
+    return {law: first_counterexample(found, render) for law, found in failures.items()}
+
+
+def _finch_law_failures(
+    up: Sequence[int],
+    down: Sequence[int],
+    perp: Sequence[int],
+    join: Sequence[Sequence[int]],
+    bar: Sequence[Sequence[int]],
+    top: int,
+) -> dict[str, Iterator[tuple[int, ...]]]:
+    """Every counterexample of each law, as family positions, in the order
+    of a scan over a, then b, then c.
+
+    bar[a][b] is the induced value of target a on b, join[b][c] the join of
+    b and c, perp[b] the perp of b, and top the whole space, all as
+    positions; up[b] (down[b]) has bit c set iff b is contained in c (c in
+    b).  For each target a, the c are grouped by their value w = bar[a][c],
+    so monotone and self_adjoint compare one pair of masks per (a, b), and
+    composition and join_preserving compare one pair of rows per (a, b).
+    """
+    r = range(len(bar))
+
+    def groups(row: Sequence[int]) -> dict[int, int]:
+        """Each value w of the row, with the mask of the c where row[c] = w."""
+        g: dict[int, int] = {}
+        for c, w in enumerate(row):
+            g[w] = g.get(w, 0) | 1 << c
+        return g
+
+    def differ(a: int, b: int, lhs: list[int], rhs: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        if lhs != rhs:
+            yield from ((a, b, c) for c in r if lhs[c] != rhs[c])
+
+    def monotone() -> Iterator[tuple[int, ...]]:
+        # b within c, but bar[a][b] not within bar[a][c]
+        for a, row in enumerate(bar):
+            above = [0] * len(row)  # above[s]: the c with s within row[c]
+            for w, cs in groups(row).items():
+                for s in _bits(down[w]):
+                    above[s] |= cs
+            for b, v in enumerate(row):
+                if fail := up[b] & ~above[v]:
+                    yield from ((a, b, c) for c in _bits(fail))
+
+    def composition() -> Iterator[tuple[int, ...]]:
+        # the total image of a within that of b, but bar[a][bar[b][c]] != bar[a][c]
+        for a, row in enumerate(bar):
+            for b in r:
+                if up[row[top]] >> bar[b][top] & 1:
+                    yield from differ(a, b, list(map(row.__getitem__, bar[b])), row)
+
+    def self_adjoint() -> Iterator[tuple[int, ...]]:
+        # c within perp(bar[a][b]) differs from bar[a][c] within perp(b)
+        for a, row in enumerate(bar):
+            below = [0] * len(row)  # below[s]: the c with row[c] within s
+            for w, cs in groups(row).items():
+                for s in _bits(up[w]):
+                    below[s] |= cs
+            for b, v in enumerate(row):
+                if diff := down[perp[v]] ^ below[perp[b]]:
+                    yield from ((a, b, c) for c in _bits(diff))
+
+    def join_preserving() -> Iterator[tuple[int, ...]]:
+        # bar[a][join[b][c]] != join[bar[a][b]][bar[a][c]]
+        for a, row in enumerate(bar):
+            for b, v in enumerate(row):
+                lhs = list(map(row.__getitem__, join[b]))
+                yield from differ(a, b, lhs, list(map(join[v].__getitem__, row)))
+
     return {
-        "monotone": first_counterexample(
-            ((a, b, c) for a in r for b in r for c in r
-             if up[b] >> c & 1 and not up[bar[a][b]] >> bar[a][c] & 1),
-            render,
+        "monotone": monotone(),
+        "composition": composition(),
+        "adjoint_bound": (
+            (a, b) for a in r for b in r
+            if not up[bar[a][perp[bar[a][b]]]] >> perp[b] & 1
         ),
-        "composition": first_counterexample(
-            ((a, b, c) for a in r for b in r
-             if up[bar[a][top]] >> bar[b][top] & 1
-             for c in r if bar[a][bar[b][c]] != bar[a][c]),
-            render,
-        ),
-        "adjoint_bound": first_counterexample(
-            ((a, b) for a in r for b in r
-             if not up[bar[a][perp[bar[a][b]]]] >> perp[b] & 1),
-            render,
-        ),
-        "self_adjoint": first_counterexample(
-            ((a, b, c) for a in r for b in r for c in r
-             if (up[c] >> perp[bar[a][b]] & 1) != (up[bar[a][c]] >> perp[b] & 1)),
-            render,
-        ),
-        "join_preserving": first_counterexample(
-            ((a, b, c) for a in r for b in r for c in r
-             if bar[a][join[b][c]] != join[bar[a][b]][bar[a][c]]),
-            render,
-        ),
+        "self_adjoint": self_adjoint(),
+        "join_preserving": join_preserving(),
     }
 
 

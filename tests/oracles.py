@@ -183,6 +183,37 @@ def finch_laws_by_scan(x: Orthoset, family: list[Subset], witnesses) -> dict:
     }
 
 
+def finch_law_failures_by_scan(up, perp, join, bar, top) -> dict:
+    """Every counterexample of each law of finch_report on the tables that
+    sasaki._finch_law_failures reads (family positions throughout, b
+    within c read as up[b] >> c & 1), as the plain loops over pairs and
+    triples that finch_report ran before it compared whole rows."""
+    r = range(len(bar))
+    return {
+        "monotone": (
+            (a, b, c) for a in r for b in r for c in r
+            if up[b] >> c & 1 and not up[bar[a][b]] >> bar[a][c] & 1
+        ),
+        "composition": (
+            (a, b, c) for a in r for b in r
+            if up[bar[a][top]] >> bar[b][top] & 1
+            for c in r if bar[a][bar[b][c]] != bar[a][c]
+        ),
+        "adjoint_bound": (
+            (a, b) for a in r for b in r
+            if not up[bar[a][perp[bar[a][b]]]] >> perp[b] & 1
+        ),
+        "self_adjoint": (
+            (a, b, c) for a in r for b in r for c in r
+            if (up[c] >> perp[bar[a][b]] & 1) != (up[bar[a][c]] >> perp[b] & 1)
+        ),
+        "join_preserving": (
+            (a, b, c) for a in r for b in r for c in r
+            if bar[a][join[b][c]] != join[bar[a][b]][bar[a][c]]
+        ),
+    }
+
+
 def _order_scan(lat):
     """Order matrix, bottom, atoms, and least upper / greatest lower bounds
     of pairs, all read off lat.leq alone."""

@@ -1,5 +1,7 @@
+import hashlib
+import json
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,9 +30,14 @@ from orthokit import (
 )
 from orthokit import corpus, lattice
 from orthokit.orthoset import ClosureTable
-from orthokit.sasaki import SasakiMapWitness, _finch_laws
+from orthokit.sasaki import SasakiMapWitness, _finch_law_failures, _finch_laws
 
-from oracles import finch_laws_by_scan, sasaki_map_check_by_scan, sasaki_maps_by_scan
+from oracles import (
+    finch_law_failures_by_scan,
+    finch_laws_by_scan,
+    sasaki_map_check_by_scan,
+    sasaki_maps_by_scan,
+)
 
 
 def x_of(name):
@@ -274,6 +281,86 @@ def test_wipe_out_refutation_has_one_entry_per_value():
         assert not verify_refutation(x, RefutationTrace(ref.target, ref.free_order, dropped))
 
 
+def test_wipe_out_spends_one_node_per_value_of_the_budget():
+    """The wipe-out above answers without a search, but still against the
+    node budget: |A| - 1 nodes refuse it with the search's message."""
+    x = corpus.generate("random_orthoset", {"n": 18, "p": 0.2}, seed=0)
+    a = x.subset(["x5", "x6", "x10"])
+    for call in (find_sasaki_map, count_sasaki_maps):
+        with pytest.raises(BudgetExceededError) as err:
+            call(x, a, budget=2)
+        assert str(err.value) == "sasaki search exceeded 2 nodes"
+    v = find_sasaki_map(x, a, budget=3)
+    assert v.nodes == 3 and verify_refutation(x, v.refutation)
+    assert count_sasaki_maps(x, a, budget=3) == []
+
+
+# (p, seed) of random_orthoset(18, p): targets, refuted targets, nodes summed
+# over the targets, and the head of the SHA-256 of every (nodes, witness or
+# certificate JSON), recorded from the search that entered its loop on a
+# wipe-out and validated every target by two perps
+SEARCH_GOLDEN = {
+    (0.2, 1): (44, 24, 318, "e3c39dce30552da9"),
+    (0.2, 2): (40, 22, 285, "7525e4c2de5dbe39"),
+    (0.5, 1): (396, 376, 1675, "21ab04888084b258"),
+    (0.5, 2): (386, 366, 1627, "a4f453bc19b1ead8"),
+    (0.8, 1): (2782, 2699, 15968, "d7a1c9c95f8d02cf"),
+}
+
+
+@pytest.mark.parametrize("p, seed", sorted(SEARCH_GOLDEN))
+def test_certificates_and_nodes_match_the_golden(p, seed):
+    x = corpus.generate("random_orthoset", {"n": 18, "p": p}, seed=seed)
+    rows, nodes, refuted = [], 0, 0
+    for a in x.orthoclosed_family():
+        v = find_sasaki_map(x, a)
+        nodes += v.nodes
+        if v.exists:
+            rows.append([v.nodes, v.witness.to_json(x)])
+        else:
+            refuted += 1
+            assert verify_refutation(x, v.refutation)
+            rows.append([v.nodes, v.refutation.to_json(x)])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
+    assert (len(rows), refuted, nodes, digest) == SEARCH_GOLDEN[p, seed]
+
+
+def test_targets_validated_by_the_kept_table_keep_their_errors():
+    """Once the family is kept, targets are looked up in it; a set that is
+    not orthoclosed is refused with the message of the perp check."""
+    fresh, kept = x_of("path4"), x_of("path4")
+    family = set(kept.orthoclosed_family())
+    calls = [
+        lambda x, a: find_sasaki_map(x, a),
+        lambda x, a: count_sasaki_maps(x, a),
+        lambda x, a: shortcut_construct(x, a),
+        lambda x, a: is_sasaki_map(x, a, {}),
+    ]
+    others = [a for k in range(5) for a in map(frozenset, combinations(range(4), k)) if a not in family]
+    assert len(others) == 10
+    for a in others:
+        for call in calls:
+            messages = []
+            for x in (fresh, kept):
+                with pytest.raises(NotOrthoclosedError) as err:
+                    call(x, a)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1] == f"target {fresh.labels_of(a)!r} is not orthoclosed"
+    for a in family:
+        assert find_sasaki_map(kept, a) == find_sasaki_map(fresh, a)
+    assert fresh._closure_table is None
+
+
+def test_one_target_does_not_enumerate_the_family(count_calls):
+    calls = count_calls(Orthoset, "_closed_masks")
+    x = corpus.generate("random_orthoset", {"n": 18, "p": 0.5}, seed=1)
+    a = x.closure(x.subset(["x1"]))[0]
+    find_sasaki_map(x, a)
+    count_sasaki_maps(x, a)
+    shortcut_construct(x, a)
+    assert calls == [] and x._closure_table is None
+
+
 def test_count_maps_unique_on_point_closed_space():
     x = x_of("horizontal_sum_atoms")
     for a in x.orthoclosed_family():
@@ -494,6 +581,34 @@ def test_finch_laws_match_scan_oracle_on_corrupted_witnesses():
                     assert got == finch_laws_by_scan(x, fam, witnesses), (name, a, e, v)
                     failed |= {law for law, (holds, _) in got.items() if not holds}
     assert failed == {"composition", "adjoint_bound", "self_adjoint", "join_preserving"}
+
+
+def test_finch_law_failures_match_scan_oracle_on_corrupted_bar_tables():
+    """1,200 seeded single-entry corruptions of the induced-value tables of
+    the oracle spaces (read through the public bar_phi), each law's first
+    counterexample compared with the triple loops.  Every law, monotone
+    included, fails on some of them."""
+    rng = random.Random(13)
+    failed = set()
+    for name, x in finch_oracle_spaces().items():
+        space = is_sasaki_space(x)
+        t = x.closure_table()
+        position = {s: i for i, s in enumerate(t.sets)}
+        r = range(len(t.sets))
+        bar = [[position[bar_phi(x, space.witnesses[a], b)] for b in t.sets] for a in t.sets]
+        join = [[t.join(b, c) for c in r] for b in r]
+        top = position[x.universe]
+        for _ in range(200):
+            a, b = rng.choice(r), rng.choice(r)
+            corrupt = [row[:] for row in bar]
+            corrupt[a][b] = rng.choice([v for v in r if v != bar[a][b]])
+            got = {law: next(found, None) for law, found in
+                   _finch_law_failures(t.up, t.down, t.perp, join, corrupt, top).items()}
+            want = {law: next(found, None) for law, found in
+                    finch_law_failures_by_scan(t.up, t.perp, join, corrupt, top).items()}
+            assert got == want, (name, a, b, corrupt[a][b])
+            failed |= {law for law, w in got.items() if w is not None}
+    assert failed == {"monotone", "composition", "adjoint_bound", "self_adjoint", "join_preserving"}
 
 
 def test_finch_reads_closures_from_the_table(monkeypatch):
