@@ -15,8 +15,8 @@ from typing import Any, Callable, Mapping
 
 from ..config import resolve
 from ..errors import BudgetExceededError, FixtureError, InputError
-from ..lattice import OrthoLattice, build_lattice, is_dacey
-from ..orthoset import Orthoset
+from ..lattice import OrthoLattice, _check_cap, build_lattice, is_dacey
+from ..orthoset import Orthoset, _up_sets
 from ..sasaki import is_sasaki_space
 
 _PACKAGE = __name__
@@ -96,13 +96,6 @@ def _boolean_labels(n: int) -> tuple[list[str], list[str]]:
     return labels, atoms
 
 
-def _check_size(size: int, cap: int | None) -> None:
-    """Refuse, before building, a lattice the cap would refuse once built."""
-    cap = resolve("lattice_cap", cap)
-    if size > cap:
-        raise BudgetExceededError(f"lattice size {size} exceeds cap of {cap}")
-
-
 def boolean_lattice(n: int, cap: int | None = None) -> OrthoLattice:
     """The powerset of n atoms as an ortholattice (complement as ortho)."""
     if n < 0:
@@ -114,13 +107,7 @@ def boolean_lattice(n: int, cap: int | None = None) -> OrthoLattice:
     labels, _ = _boolean_labels(n)
     size = 1 << n
     full = size - 1
-    up = []
-    for mask in range(size):
-        bits = 0
-        for other in range(size):
-            if mask & other == mask:
-                bits |= 1 << other
-        up.append(bits)
+    up = _up_sets(range(size), n)
     ortho = [full ^ mask for mask in range(size)]
     return OrthoLattice(labels, up, ortho, cap=cap)
 
@@ -129,7 +116,7 @@ def mo_lattice(n: int, cap: int | None = None) -> OrthoLattice:
     """MO_n: n complemented atom pairs with no other comparabilities."""
     if n < 1:
         raise InputError("mo_n needs n >= 1")
-    _check_size(2 * n + 2, cap)
+    _check_cap(2 * n + 2, cap)  # before building the up-sets
     labels = ["0"]
     for i in range(n):
         stem = "abcdefgh"[i] if n <= 8 else f"x{i + 1}"
@@ -158,7 +145,7 @@ def horizontal_sum(left: OrthoLattice, right: OrthoLattice,
 
     Proper elements keep their labels behind 'l.' and 'r.' prefixes.
     """
-    _check_size(2 + sum(lat.n - len({lat.bottom, lat.top}) for lat in (left, right)), cap)
+    _check_cap(2 + sum(lat.n - len({lat.bottom, lat.top}) for lat in (left, right)), cap)
     out_labels = ["0"]
     blocks: list[tuple[str, OrthoLattice]] = [("l", left), ("r", right)]
     position: dict[tuple[str, int], int] = {}

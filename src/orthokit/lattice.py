@@ -1,18 +1,18 @@
 """Finite ortholattices.
 
-The order relation is stored as per-element bitmasks (up-sets and
-down-sets), which keeps meet/join table construction and the orthomodular
-scan cheap.  Construction always validates the full axiom set: poset laws,
-totality of meets and joins, and that the orthocomplement is an
-order-reversing involution satisfying the complement laws.
+The order relation is stored as per-element bitmasks (up-sets and their
+transpose, the down-sets); the meet and join tables are their bound rows.
+Construction always validates the full axiom set: poset laws, totality of
+meets and joins, and that the orthocomplement is an order-reversing
+involution satisfying the complement laws.
 
 Also here: the two bridges between orthosets and ortholattices (elements
 or atoms with x orthogonal to y iff x <= ortho(y), and the lattice of
-orthoclosed sets), the Dacey criterion, round-trip isomorphism checks, the
-covering/basic-elements biconditional, and Hasse-diagram DOT export.  The
-isomorphism search runs on the orthoset module's bijection helper, a loop
-with no depth limit; check_lattice_iso certifies what it finds without
-sharing its code.
+orthoclosed sets, kept on the closure table), the Dacey criterion,
+round-trip isomorphism checks, the covering/basic-elements biconditional,
+and Hasse-diagram DOT export.  The isomorphism search runs on the orthoset
+module's bijection helper, a loop with no depth limit; check_lattice_iso
+certifies what it finds without sharing its code.
 """
 from __future__ import annotations
 
@@ -28,7 +28,15 @@ from .errors import (
     LatticeLawError,
     NotOrthomodularError,
 )
-from .orthoset import Orthoset, Subset, Verdict, _bits, _first_bijection, first_counterexample
+from .orthoset import (Orthoset, Subset, Verdict, _bits, _bound_rows, _first_bijection, _transpose,
+                       first_counterexample)
+
+
+def _check_cap(size: int, cap: int | None) -> None:
+    """Refuse a lattice of `size` elements over the lattice cap."""
+    cap = resolve("lattice_cap", cap)
+    if size > cap:
+        raise BudgetExceededError(f"lattice size {size} exceeds cap of {cap}")
 
 
 class OrthoLattice:
@@ -41,9 +49,7 @@ class OrthoLattice:
         n = len(self.labels)
         if n == 0:
             raise LatticeLawError("empty", None)
-        cap = resolve("lattice_cap", cap)
-        if n > cap:
-            raise BudgetExceededError(f"lattice size {n} exceeds cap of {cap}")
+        _check_cap(n, cap)
         if len(set(self.labels)) != n:
             raise InputError("duplicate lattice element label")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -63,38 +69,25 @@ class OrthoLattice:
             for i in range(n):
                 if up_l[i] & bit:
                     up_l[i] |= above
-        down_l = [0] * n
+        self.up: tuple[int, ...] = tuple(up_l)
+        self.down: tuple[int, ...] = tuple(_transpose(up_l, n))
         for i in range(n):
-            for j in _bits(up_l[i]):
-                down_l[j] |= 1 << i
-        for i in range(n):
-            both = up_l[i] & down_l[i] & ~(1 << i)
+            both = self.up[i] & self.down[i] & ~(1 << i)
             if both:
                 j = (both & -both).bit_length() - 1
                 raise LatticeLawError("not-a-poset", (self.labels[i], self.labels[j]))
-        self.up: tuple[int, ...] = tuple(up_l)
-        self.down: tuple[int, ...] = tuple(down_l)
 
         self.n = n
         # down-sets (and up-sets) are distinct once antisymmetry holds, so
         # each names its element; a meet or join is one lookup
-        by_down = {d: k for k, d in enumerate(self.down)}
-        by_up = {u: k for k, u in enumerate(self.up)}
-        meet_rows: list[tuple[int, ...]] = []
-        join_rows: list[tuple[int, ...]] = []
-        for i in range(n):
-            mrow = tuple(by_down.get(self.down[i] & d, -1) for d in self.down)
-            jrow = tuple(by_up.get(self.up[i] & u, -1) for u in self.up)
+        self.meet_t, self.join_t = _bound_rows(self.down), _bound_rows(self.up)
+        for i, (mrow, jrow) in enumerate(zip(self.meet_t, self.join_t)):
             if -1 in mrow or -1 in jrow:
                 j = next(j for j in range(n) if mrow[j] < 0 or jrow[j] < 0)
                 law = "no-meet" if mrow[j] < 0 else "no-join"
                 raise LatticeLawError(law, (self.labels[i], self.labels[j]))
-            meet_rows.append(mrow)
-            join_rows.append(jrow)
-        self.meet_t = tuple(meet_rows)
-        self.join_t = tuple(join_rows)
-        self.bottom = by_up[full]
-        self.top = by_down[full]
+        self.bottom = self.up.index(full)
+        self.top = self.down.index(full)
 
         ortho_l = tuple(ortho)
         if len(ortho_l) != n or any(not 0 <= o < n for o in ortho_l):
@@ -405,10 +398,16 @@ def orthoclosed_lattice(x: Orthoset, budget: int | None = None,
     """The complete ortholattice of orthoclosed sets, ordered by inclusion.
 
     Element i of the result is the i-th member of x.orthoclosed_family()
-    in canonical order; labels render the member sets.
+    in canonical order; labels render the member sets.  Built on the first
+    call and kept on x's closure table; each call checks `budget` and `cap`
+    as a fresh build does.
     """
     t = x.closure_table(budget)
-    return OrthoLattice([set_label(x, s) for s in t.sets], t.up, t.perp, cap=cap)
+    if t.lattice is None:
+        t.lattice = OrthoLattice([set_label(x, s) for s in t.sets], t.up, t.perp, cap=cap)
+    else:
+        _check_cap(t.lattice.n, cap)
+    return t.lattice
 
 
 def dacey_criterion(x: Orthoset, family_budget: int | None = None,
@@ -429,7 +428,7 @@ def is_dacey(x: Orthoset, via: str = "criterion", budget: int | None = None) -> 
     if via == "criterion":
         return dacey_criterion(x, family_budget=budget)
     if via == "lattice":
-        return is_orthomodular(orthoclosed_lattice(x, budget=budget))
+        return orthoclosed_lattice(x, budget=budget).orthomodular
     raise ValueError(f"unknown dacey route {via!r}")
 
 

@@ -12,7 +12,8 @@ unchecked kernel, Orthoset._perp, computes every perp.  The canonical order
 on subsets, used everywhere a deterministic enumeration is promised, is
 (cardinality, lexicographic on sorted indices).  Every reader of the
 orthoclosed family goes through Orthoset.closure_table, which enumerates it
-once per orthoset and keeps it as a ClosureTable.  Every search here
+once per orthoset and keeps it as a ClosureTable.  _up_sets, _transpose and
+_bound_rows are the one copy of each order-table step.  Every search here
 (perp-set enumeration, Bron-Kerbosch, and the bijection search under
 is_transitive and the lattice isomorphism search) is a loop on an explicit
 stack, so no recursion limit bounds it.
@@ -22,10 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .config import resolve
 from .errors import BudgetExceededError, InputError, InvalidSubsetError
+
+if TYPE_CHECKING:
+    from .lattice import OrthoLattice
 
 Subset = frozenset[int]
 
@@ -41,6 +45,30 @@ def _bits(m: int) -> Iterator[int]:
         low = m & -m
         yield low.bit_length() - 1
         m ^= low
+
+
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """out[j] has bit i set iff rows[i] has bit j set, for j < width."""
+    out = [0] * width
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            out[j] |= 1 << i
+    return out
+
+
+def _up_sets(masks: Sequence[int], width: int) -> list[int]:
+    """up[i] has bit j set iff masks[i] is within masks[j], for masks below
+    1 << width: the AND of the membership columns of the elements of masks[i]."""
+    holding = _transpose(masks, width)  # holding[e]: the masks with bit e
+    everything = (1 << len(masks)) - 1
+    return [reduce(and_, map(holding.__getitem__, _bits(m)), everything) for m in masks]
+
+
+def _bound_rows(masks: Sequence[int]) -> list[list[int]]:
+    """rows[i][j]: the position of masks[i] & masks[j], or -1 if absent (the joins
+    on up-sets, the meets on down-sets); list rows map faster than tuple rows."""
+    at = {m: k for k, m in enumerate(masks)}.get
+    return [[at(mi & mj, -1) for mj in masks] for mi in masks]
 
 
 def _mask_key(m: int) -> tuple[int, tuple[int, ...]]:
@@ -474,11 +502,11 @@ class ClosureTable:
     """The orthoclosed family of one orthoset, addressed by position.
 
     Built once per orthoset, by Orthoset.closure_table: masks in canonical
-    order, so positions agree with the orthoclosed lattice, and perps, joins
-    and inclusions come back as positions.  `perp`, `up` and `down` are built
-    on first read, since a Sasaki search over the family reads only the sets.
-    It keeps the adjacency masks, not the orthoset that keeps it, as a cycle
-    would delay freeing the orthoset.  Masks are not validated.
+    order, so positions agree with the orthoclosed lattice, which
+    orthoclosed_lattice keeps as `lattice`.  Perps and inclusions are
+    positions, built on first read, since a Sasaki search reads only the
+    sets.  It keeps the adjacency masks, not the orthoset that keeps it, as
+    a cycle would delay freeing the orthoset.  Masks are not validated.
     """
 
     def __init__(self, x: Orthoset, budget: int | None = None):
@@ -486,6 +514,7 @@ class ClosureTable:
         self.masks: tuple[int, ...] = tuple(x._closed_masks(budget))
         self.sets: tuple[Subset, ...] = tuple(frozenset(_bits(m)) for m in self.masks)
         self.index: dict[int, int] = {m: i for i, m in enumerate(self.masks)}
+        self.lattice: OrthoLattice | None = None
 
     @cached_property
     def perp(self) -> tuple[int, ...]:
@@ -496,22 +525,4 @@ class ClosureTable:
     @cached_property
     def up(self) -> tuple[int, ...]:
         """up[i] has bit j set iff member i is contained in member j."""
-        return tuple(
-            sum(1 << j for j, mj in enumerate(self.masks) if mi & mj == mi)
-            for mi in self.masks
-        )
-
-    @cached_property
-    def down(self) -> tuple[int, ...]:
-        """down[j] has bit i set iff member i is contained in member j: the
-        transpose of `up`."""
-        down = [0] * len(self.masks)
-        for i, row in enumerate(self.up):
-            for j in _bits(row):
-                down[j] |= 1 << i
-        return tuple(down)
-
-    def join(self, i: int, j: int) -> int:
-        """Position of the closure of the union of members i and j: the perp
-        of the meet of their perps, which is an intersection, hence a member."""
-        return self.perp[self.index[self.masks[self.perp[i]] & self.masks[self.perp[j]]]]
+        return tuple(_up_sets(self.masks, self._full.bit_length()))

@@ -35,7 +35,8 @@ from .errors import (
     HypothesisViolation,
 )
 from .lattice import OrthoLattice, _require_orthomodular, dacey_criterion, oml_to_orthoset, sasaki_projection
-from .orthoset import ClosureTable, Orthoset, PropertyReport, Subset, Verdict, _bits, _mask_key, first_counterexample
+from .orthoset import (ClosureTable, Orthoset, PropertyReport, Subset, Verdict, _bits, _bound_rows, _mask_key,
+                       _transpose, first_counterexample)
 
 
 @dataclass
@@ -483,8 +484,9 @@ def _finch_laws(
     family positions.
 
     `t` is x's closure table.  Each induced value bar[a][b] is one mask
-    closure; the law loops then read rows of bar and of the table, since
-    every set they name is a member.
+    closure; the law loops then read rows of bar, of the table and of the
+    transpose and bound rows of its up-sets, since every set they name is a
+    member.
     """
     r = range(len(t.sets))
     perp = t.perp
@@ -497,12 +499,12 @@ def _finch_laws(
             perp[t.index[x._perp(sum({1 << table[e] for e in _bits(t.masks[b] & outside)}))]]
             for b in r
         ])
-    join = [[t.join(b, c) for c in r] for b in r]
 
     def render(w: tuple[int, ...]) -> tuple[tuple[str, ...], ...]:
         return tuple(x.labels_of(t.sets[i]) for i in w)
 
-    failures = _finch_law_failures(t.up, t.down, perp, join, bar, t.index[x._full])
+    failures = _finch_law_failures(
+        t.up, _transpose(t.up, len(r)), perp, _bound_rows(t.up), bar, t.index[x._full])
     return {law: first_counterexample(found, render) for law, found in failures.items()}
 
 

@@ -131,14 +131,21 @@ def lattice_iso_by_scan(a, b) -> tuple | None:
     return None
 
 
-def finch_laws_by_scan(x: Orthoset, family: list[Subset], witnesses) -> dict:
+def finch_laws_by_scan(x: Orthoset, family: list[Subset], witnesses,
+                       perps: dict | None = None) -> dict:
     """The five induced-map laws of finch_report, straight from their
     definitions: every perp is perp_by_scan, every closure its double, and
     the induced value of target a on b is the closure of the image of the
     part of b outside perp(a).  Each law maps to (holds, first
-    counterexample as label tuples), loops in family order."""
+    counterexample as label tuples), loops in family order.  `perps`, if
+    given, keeps each perp_by_scan result by its argument, so calls on the
+    same x with other witnesses can share it."""
+    perps = {} if perps is None else perps
+
     def perp(s):
-        return perp_by_scan(x, s)
+        if s not in perps:
+            perps[s] = perp_by_scan(x, s)
+        return perps[s]
 
     def close(s):
         return perp(perp(s))

@@ -13,6 +13,7 @@ from orthokit import (
     build_lattice,
     check_lattice_iso,
     dacey_criterion,
+    finch_report,
     find_lattice_iso,
     is_basic,
     is_dacey,
@@ -243,6 +244,31 @@ def test_set_labels_used_for_elements():
     x = corpus.get("path4").build()
     lat = orthoclosed_lattice(x)
     assert "{a,c}" in lat.labels and "{}" in lat.labels
+
+
+def test_orthoclosed_lattice_is_kept():
+    x = corpus.get("path4").build()
+    assert orthoclosed_lattice(x) is orthoclosed_lattice(x)
+
+
+def test_lattice_route_and_roundtrip_build_the_lattice_once(count_calls):
+    calls = count_calls(lattice.OrthoLattice, "__init__")
+    x = corpus.get("horizontal_sum_atoms").build()
+    assert is_dacey(x, "lattice").holds
+    lat = orthoclosed_lattice(x)
+    assert roundtrip_check(x).ok
+    assert len(calls) == 1 and calls[0][0] is lat
+
+
+def test_kept_lattice_rechecks_the_cap():
+    # 66 orthoclosed sets; finch reads no lattice, so the cap does not bind it
+    x = oml_to_orthoset(corpus.mo_lattice(32, cap=100))
+    assert finch_report(x).ok
+    assert orthoclosed_lattice(x, cap=100).n == 66
+    for route in (lambda: orthoclosed_lattice(x), lambda: is_dacey(x, "lattice")):
+        with pytest.raises(BudgetExceededError) as err:
+            route()
+        assert str(err.value) == "lattice size 66 exceeds cap of 64"
 
 
 # ------------------------------------------------------------------ dacey

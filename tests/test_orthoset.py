@@ -10,10 +10,11 @@ from orthokit import (
     InputError,
     InvalidSubsetError,
     Orthoset,
+    orthoclosed_lattice,
     subset_key,
 )
 from orthokit import corpus, orthoset
-from orthokit.orthoset import ClosureTable
+from orthokit.orthoset import ClosureTable, _bound_rows, _transpose
 
 from oracles import (
     automorphism_by_scan,
@@ -169,6 +170,21 @@ def test_closure_table_matches_scan_oracles(x):
     for m in range(1 << x.n):
         s = frozenset(i for i in range(x.n) if m >> i & 1)
         assert t.sets[t.perp[t.index[x._perp(m)]]] == perp_by_scan(x, perp_by_scan(x, s))
+    # inclusions, down-sets and joins, against frozenset comparisons
+    sets = t.sets
+    position = {s: k for k, s in enumerate(sets)}
+    closures = {}
+    joins = _bound_rows(t.up)
+    for i, si in enumerate(sets):
+        for j, sj in enumerate(sets):
+            assert t.up[i] >> j & 1 == (si <= sj)
+            u = si | sj
+            if u not in closures:
+                closures[u] = position[perp_by_scan(x, perp_by_scan(x, u))]
+            assert joins[i][j] == closures[u]
+    assert _transpose(t.up, len(sets)) == [
+        sum(1 << i for i, si in enumerate(sets) if si <= sj) for sj in sets
+    ]
 
 
 def test_family_budget_enforced():
@@ -192,6 +208,7 @@ def test_closure_table_is_kept_and_enumerated_once(count_calls):
 def test_closure_table_holds_no_reference_to_its_orthoset():
     x = corpus.get("complete4").build()
     t = x.closure_table()
+    assert orthoclosed_lattice(x) is t.lattice
     assert t.perp and t.up
     ref = weakref.ref(x)
     gc.disable()

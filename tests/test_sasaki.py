@@ -29,7 +29,7 @@ from orthokit import (
     verify_refutation,
 )
 from orthokit import corpus, lattice
-from orthokit.orthoset import ClosureTable
+from orthokit.orthoset import ClosureTable, _bound_rows, _transpose
 from orthokit.sasaki import SasakiMapWitness, _finch_law_failures, _finch_laws
 
 from oracles import (
@@ -563,12 +563,14 @@ def test_finch_laws_match_scan_oracle_on_corrupted_witnesses():
     element of the target.  Composition, adjoint_bound, self_adjoint and
     join_preserving each fail on some of them, so the failing branches and
     their first counterexamples are compared too.  Monotone cannot fail
-    for any table: the image of b minus perp(A) only grows with b."""
+    for any table: the image of b minus perp(A) only grows with b.  The
+    oracle's perps depend on the space alone, so they are shared."""
     failed = set()
     for name, x in finch_oracle_spaces().items():
         space = is_sasaki_space(x)
         fam = list(space.targets)
         t = ClosureTable(x)
+        perps = {}
         for a in fam:
             if len(a) < 2:
                 continue
@@ -578,7 +580,7 @@ def test_finch_laws_match_scan_oracle_on_corrupted_witnesses():
                     witnesses = dict(space.witnesses)
                     witnesses[a] = SasakiMapWitness(a, {**table, e: v})
                     got = laws_as_pairs(_finch_laws(x, t, witnesses))
-                    assert got == finch_laws_by_scan(x, fam, witnesses), (name, a, e, v)
+                    assert got == finch_laws_by_scan(x, fam, witnesses, perps), (name, a, e, v)
                     failed |= {law for law, (holds, _) in got.items() if not holds}
     assert failed == {"composition", "adjoint_bound", "self_adjoint", "join_preserving"}
 
@@ -596,14 +598,14 @@ def test_finch_law_failures_match_scan_oracle_on_corrupted_bar_tables():
         position = {s: i for i, s in enumerate(t.sets)}
         r = range(len(t.sets))
         bar = [[position[bar_phi(x, space.witnesses[a], b)] for b in t.sets] for a in t.sets]
-        join = [[t.join(b, c) for c in r] for b in r]
+        down, join = _transpose(t.up, len(r)), _bound_rows(t.up)
         top = position[x.universe]
         for _ in range(200):
             a, b = rng.choice(r), rng.choice(r)
             corrupt = [row[:] for row in bar]
             corrupt[a][b] = rng.choice([v for v in r if v != bar[a][b]])
             got = {law: next(found, None) for law, found in
-                   _finch_law_failures(t.up, t.down, t.perp, join, corrupt, top).items()}
+                   _finch_law_failures(t.up, down, t.perp, join, corrupt, top).items()}
             want = {law: next(found, None) for law, found in
                     finch_law_failures_by_scan(t.up, t.perp, join, corrupt, top).items()}
             assert got == want, (name, a, b, corrupt[a][b])
