@@ -43,7 +43,6 @@ from .lattice import (
     orthoclosed_lattice,
     projection_facts,
     roundtrip_check,
-    sasaki_projection,
     set_label,
     wilce_check,
 )
@@ -303,10 +302,7 @@ def _cmd_oml(args: argparse.Namespace) -> tuple[Any, list[str], int]:
     lat = build_lattice(doc)
     if args.project is not None:
         i = lat.index(args.project)
-        table = {
-            lat.labels[y]: lat.labels[sasaki_projection(lat, i, y)]
-            for y in range(lat.n)
-        }
+        table = {lat.labels[y]: lat.labels[p] for y, p in enumerate(lat.projection_row(i))}
         result: dict[str, Any] = {"project": args.project, "table": table}
         lines = [f"sasaki projection to {args.project}:"] + [
             f"  {y} -> {table[y]}" for y in lat.labels

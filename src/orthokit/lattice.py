@@ -4,7 +4,8 @@ The order relation is stored as per-element bitmasks (up-sets and their
 transpose, the down-sets); the meet and join tables are their bound rows.
 Construction always validates the full axiom set: poset laws, totality of
 meets and joins, and that the orthocomplement is an order-reversing
-involution satisfying the complement laws.
+involution satisfying the complement laws.  Each row of Sasaki
+projections is built on its first read and kept on the lattice.
 
 Also here: the two bridges between orthosets and ortholattices (elements
 or atoms with x orthogonal to y iff x <= ortho(y), and the lattice of
@@ -40,8 +41,9 @@ def _check_cap(size: int, cap: int | None) -> None:
 
 
 class OrthoLattice:
-    """Validated finite ortholattice with meet/join tables; its heights and
-    its orthomodular and covering verdicts are computed once, on first use."""
+    """Validated finite ortholattice with meet/join tables; its heights, its
+    orthomodular and covering verdicts and each row of its Sasaki
+    projections are computed once, on first use."""
 
     def __init__(self, labels: Iterable[str], up: Iterable[int], ortho: Iterable[int],
                  cap: int | None = None):
@@ -105,6 +107,7 @@ class OrthoLattice:
                 raise LatticeLawError("x-meet-ortho-not-zero", self.labels[i])
             if self.join(i, self.ortho[i]) != self.top:
                 raise LatticeLawError("x-join-ortho-not-one", self.labels[i])
+        self._projections: dict[int, list[int]] = {}
 
         self.atoms: tuple[int, ...] = tuple(
             i for i in range(n)
@@ -127,6 +130,14 @@ class OrthoLattice:
 
     def join(self, i: int, j: int) -> int:
         return self.join_t[i][j]
+
+    def projection_row(self, x: int) -> list[int]:
+        """pi_x(y) for every y: row x of the Sasaki projections, built on
+        its first read and kept; callers must not modify it."""
+        row = self._projections.get(x)
+        if row is None:
+            row = self._projections[x] = [sasaki_projection(self, x, y) for y in range(self.n)]
+        return row
 
     def covers(self, i: int, j: int) -> bool:
         """j covers i: i < j with nothing strictly between."""
@@ -300,10 +311,10 @@ def projection_facts(lat: OrthoLattice) -> dict[str, Verdict]:
       (c) pi_x(y) = 0 iff y <= ortho(x)
       (d) pi_x(y) orthogonal to z iff y orthogonal to pi_x(z)
 
-    All four read one n^2 table of projections.  Law (d) is n^2 mask
-    comparisons (one per pair x, y) rather than a scan of the triples;
-    the triple scan is kept in the test oracles, and both report the same
-    first (x, y, z).
+    All four read the lattice's rows of projections, n^2 of them.  Law (d)
+    is n^2 mask comparisons (one per pair x, y) rather than a scan of the
+    triples; the triple scan is kept in the test oracles, and both report
+    the same first (x, y, z).
 
     The input must be orthomodular; (a) alone is equivalent to the
     orthomodular law, so running this on anything else only rediscovers
@@ -312,7 +323,7 @@ def projection_facts(lat: OrthoLattice) -> dict[str, Verdict]:
     _require_orthomodular(lat, "projection facts assume an orthomodular lattice")
     r = range(lat.n)
     up, ortho = lat.up, lat.ortho
-    pi = [[sasaki_projection(lat, x, y) for y in r] for x in r]
+    pi = [lat.projection_row(x) for x in r]
     render = _labelled(lat)
     # u is orthogonal to v iff up[u] >> ortho[v] & 1
     return {
@@ -330,35 +341,38 @@ def projection_facts(lat: OrthoLattice) -> dict[str, Verdict]:
              if (pi[x][y] == lat.bottom) != (up[y] >> ortho[x] & 1)),
             render,
         ),
-        "d_self_adjoint": first_counterexample(_self_adjoint_failures(lat, pi), render),
+        "d_self_adjoint": first_counterexample(_self_adjoint_failures(up, lat.down, ortho, pi), render),
     }
 
 
-def _self_adjoint_failures(lat: OrthoLattice,
-                           pi: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:
-    """The triples (x, y, z) where law (d) fails for the projection table
-    pi, in the order of a scan over x, then y, then z.
+def _spread(row: Sequence[int], rows: Sequence[int]) -> list[int]:
+    """out[s] is the mask of the c with bit s in rows[row[c]]: the c are
+    grouped by their value w = row[c], and each group is ORed into every
+    bit of rows[w]."""
+    groups: dict[int, int] = {}
+    for c, w in enumerate(row):
+        groups[w] = groups.get(w, 0) | 1 << c
+    out = [0] * len(rows)
+    for w, cs in groups.items():
+        for s in _bits(rows[w]):
+            out[s] |= cs
+    return out
 
-    pi_x(y) is orthogonal to z iff z <= ortho(pi_x(y)), and y is orthogonal
-    to pi_x(z) iff pi_x(z) <= ortho(y).  So for each x, with below[t] the
-    mask of the z whose projection lies under t, the z that break the law
-    for y are the bits of down[ortho[pi_x(y)]] ^ below[ortho[y]]; each
-    (x, y) yields its lowest one."""
-    n, up, down, ortho = lat.n, lat.up, lat.down, lat.ortho
-    for x in range(n):
-        row = pi[x]
-        # the z with the same projection w, then each group under every t >= w
-        groups: dict[int, int] = {}
-        for z, w in enumerate(row):
-            groups[w] = groups.get(w, 0) | 1 << z
-        below = [0] * n
-        for w, zs in groups.items():
-            for t in _bits(up[w]):
-                below[t] |= zs
-        for y in range(n):
-            diff = down[ortho[row[y]]] ^ below[ortho[y]]
-            if diff:
-                yield x, y, (diff & -diff).bit_length() - 1
+
+def _self_adjoint_failures(up: Sequence[int], down: Sequence[int], ortho: Sequence[int],
+                           table: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:
+    """Every (x, y, z) where t_x(y) orthogonal to z differs from y orthogonal
+    to t_x(z), t_x(y) = table[x][y], scanning x, then y, then z: law (d) of
+    the Sasaki projections, and finch's self-adjointness of induced maps.
+
+    up[u] (down[u]) has bit v set iff u <= v (v <= u).  u is orthogonal to
+    v iff u <= ortho(v), so with below = _spread(table[x], up) the z that
+    break the law for y are the bits of down[ortho[t_x(y)]] ^ below[ortho[y]]."""
+    for x, row in enumerate(table):
+        below = _spread(row, up)
+        for y, v in enumerate(row):
+            if diff := down[ortho[v]] ^ below[ortho[y]]:
+                yield from ((x, y, z) for z in _bits(diff))
 
 
 # ------------------------------------------------------------------ bridges
@@ -583,8 +597,8 @@ def wilce_check(lat: OrthoLattice) -> WilceReport:
     _require_orthomodular(lat, "wilce_check requires an orthomodular lattice")
     covering = lat.covering_report.covering
     basic = first_counterexample(
-        ((x, a, p) for x in range(lat.n) for a in lat.atoms
-         for p in (sasaki_projection(lat, x, a),) if not is_basic(lat, p)),
+        ((x, a, row[a]) for x, row in enumerate(map(lat.projection_row, range(lat.n)))
+         for a in lat.atoms if not is_basic(lat, row[a])),
         _labelled(lat),
     )
     return WilceReport(covering=covering, basic_to_basic=basic)

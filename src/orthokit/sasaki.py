@@ -34,7 +34,8 @@ from .errors import (
     NotSasakiSpaceError,
     HypothesisViolation,
 )
-from .lattice import OrthoLattice, _require_orthomodular, dacey_criterion, oml_to_orthoset, sasaki_projection
+from .lattice import (OrthoLattice, _require_orthomodular, _self_adjoint_failures, _spread, dacey_criterion,
+                      oml_to_orthoset)
 from .orthoset import (ClosureTable, Orthoset, PropertyReport, Subset, Verdict, _bits, _bound_rows, _mask_key,
                        _transpose, first_counterexample)
 
@@ -398,8 +399,8 @@ def sasaki_from_oml(lat: OrthoLattice, a: Subset, x: Orthoset | None = None) -> 
     """Sasaki map witness on the orthoset of nonzero lattice elements.
 
     The target must be the trace of a principal down-set; the table is the
-    Sasaki projection to its generator, restricted and corestricted.  The
-    produced witness is certified before being returned.
+    lattice's row of Sasaki projections to its generator, restricted and
+    corestricted.  The produced witness is certified before being returned.
     """
     _require_orthomodular(lat, "sasaki_from_oml requires an orthomodular lattice")
     if x is None:
@@ -409,15 +410,16 @@ def sasaki_from_oml(lat: OrthoLattice, a: Subset, x: Orthoset | None = None) -> 
     gen = lat.bottom
     for e in a:
         gen = lat.join(gen, to_lat[e])
-    principal = frozenset(e for e in range(x.n) if lat.leq(to_lat[e], gen))
+    principal = frozenset(e for e in range(x.n) if lat.down[gen] >> to_lat[e] & 1)
     if principal != a:
         raise NotPrincipalError(
             f"target {tuple(x.labels_of(a))!r} is not the trace of a principal down-set"
         )
     table: dict[int, int] = {}
     lat_index_of = {to_lat[e]: e for e in range(x.n)}
+    row = lat.projection_row(gen)
     for e in _bits(x._full & ~x._perp(am)):
-        p = sasaki_projection(lat, gen, to_lat[e])
+        p = row[to_lat[e]]
         if p == lat.bottom:
             raise MapDomainError(
                 f"projection of {x.labels[e]!r} collapsed to zero unexpectedly"
@@ -522,18 +524,11 @@ def _finch_law_failures(
     bar[a][b] is the induced value of target a on b, join[b][c] the join of
     b and c, perp[b] the perp of b, and top the whole space, all as
     positions; up[b] (down[b]) has bit c set iff b is contained in c (c in
-    b).  For each target a, the c are grouped by their value w = bar[a][c],
-    so monotone and self_adjoint compare one pair of masks per (a, b), and
-    composition and join_preserving compare one pair of rows per (a, b).
+    b).  Monotone and self_adjoint (lattice's law (d) scan) compare one pair
+    of masks per (a, b), and composition and join_preserving one pair of
+    rows per (a, b).
     """
     r = range(len(bar))
-
-    def groups(row: Sequence[int]) -> dict[int, int]:
-        """Each value w of the row, with the mask of the c where row[c] = w."""
-        g: dict[int, int] = {}
-        for c, w in enumerate(row):
-            g[w] = g.get(w, 0) | 1 << c
-        return g
 
     def differ(a: int, b: int, lhs: list[int], rhs: Sequence[int]) -> Iterator[tuple[int, ...]]:
         if lhs != rhs:
@@ -542,10 +537,7 @@ def _finch_law_failures(
     def monotone() -> Iterator[tuple[int, ...]]:
         # b within c, but bar[a][b] not within bar[a][c]
         for a, row in enumerate(bar):
-            above = [0] * len(row)  # above[s]: the c with s within row[c]
-            for w, cs in groups(row).items():
-                for s in _bits(down[w]):
-                    above[s] |= cs
+            above = _spread(row, down)  # above[s]: the c with s within row[c]
             for b, v in enumerate(row):
                 if fail := up[b] & ~above[v]:
                     yield from ((a, b, c) for c in _bits(fail))
@@ -556,17 +548,6 @@ def _finch_law_failures(
             for b in r:
                 if up[row[top]] >> bar[b][top] & 1:
                     yield from differ(a, b, list(map(row.__getitem__, bar[b])), row)
-
-    def self_adjoint() -> Iterator[tuple[int, ...]]:
-        # c within perp(bar[a][b]) differs from bar[a][c] within perp(b)
-        for a, row in enumerate(bar):
-            below = [0] * len(row)  # below[s]: the c with row[c] within s
-            for w, cs in groups(row).items():
-                for s in _bits(up[w]):
-                    below[s] |= cs
-            for b, v in enumerate(row):
-                if diff := down[perp[v]] ^ below[perp[b]]:
-                    yield from ((a, b, c) for c in _bits(diff))
 
     def join_preserving() -> Iterator[tuple[int, ...]]:
         # bar[a][join[b][c]] != join[bar[a][b]][bar[a][c]]
@@ -582,7 +563,8 @@ def _finch_law_failures(
             (a, b) for a in r for b in r
             if not up[bar[a][perp[bar[a][b]]]] >> perp[b] & 1
         ),
-        "self_adjoint": self_adjoint(),
+        # c within perp(bar[a][b]) differs from bar[a][c] within perp(b)
+        "self_adjoint": _self_adjoint_failures(up, down, perp, bar),
         "join_preserving": join_preserving(),
     }
 

@@ -285,6 +285,14 @@ def basic_to_basic_by_scan(lat):
     return (True, None)
 
 
+def projections_by_scan(lat):
+    """The table of Sasaki projections x ^ (x' v y), row x for each x,
+    with meets and joins taken from the order relation alone."""
+    _, _, _, lub, glb = _order_scan(lat)
+    n = range(lat.n)
+    return [[glb([x, lub([lat.ortho[x], y])]) for y in n] for x in n]
+
+
 def self_adjoint_by_scan(lat, pi):
     """The first triple (x, y, z), scanning x, then y, then z, where law
     (d) of projection_facts fails for the projection table pi: pi_x(y)

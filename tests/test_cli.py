@@ -333,14 +333,18 @@ LARGE_COMMANDS = {
     "roundtrip": ["lattice", "--roundtrip"],
     "oml": ["oml"],
     "project": ["oml", "--project", "x1"],
+    "induced": ["oml", "--induced", "x1"],
 }
 # case, input, extra flags, and the exit code of each command
 LARGE_CASES = [
-    ("k1050", "k1050", [], dict(check=3, sasaki=3, reduced=3, finch=3, roundtrip=3, oml=2, project=2)),
-    ("pair1100", "pair1100", [], dict(check=0, sasaki=0, reduced=0, finch=0, roundtrip=0, oml=2, project=2)),
+    ("k1050", "k1050", [],
+     dict(check=3, sasaki=3, reduced=3, finch=3, roundtrip=3, oml=2, project=2, induced=2)),
+    ("pair1100", "pair1100", [],
+     dict(check=0, sasaki=0, reduced=0, finch=0, roundtrip=0, oml=2, project=2, induced=2)),
     ("mo500-cap2000", "mo500", ["--lattice-cap", "2000"],
-     dict(check=2, sasaki=2, reduced=2, finch=2, roundtrip=0, oml=0, project=0)),
-    ("mo500", "mo500", [], dict(check=2, sasaki=2, reduced=2, finch=2, roundtrip=3, oml=3, project=3)),
+     dict(check=2, sasaki=2, reduced=2, finch=2, roundtrip=0, oml=0, project=0, induced=0)),
+    ("mo500", "mo500", [],
+     dict(check=2, sasaki=2, reduced=2, finch=2, roundtrip=3, oml=3, project=3, induced=3)),
 ]
 
 

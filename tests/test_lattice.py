@@ -23,6 +23,7 @@ from orthokit import (
     orthoclosed_lattice,
     projection_facts,
     roundtrip_check,
+    sasaki_from_oml,
     sasaki_projection,
     set_label,
     wilce_check,
@@ -34,6 +35,7 @@ from oracles import (
     covering_by_scan,
     lattice_iso_by_scan,
     meet_join_by_scan,
+    projections_by_scan,
     self_adjoint_by_scan,
 )
 
@@ -178,7 +180,9 @@ def test_tables_match_scan_oracle_on_generated_lattices():
 
 @given(orthosets(max_n=6))
 def test_tables_match_scan_oracle_on_orthoclosed_lattices(x):
-    assert_tables_match_scan(orthoclosed_lattice(x))
+    lat = orthoclosed_lattice(x)
+    assert_tables_match_scan(lat)
+    assert [lat.projection_row(i) for i in range(lat.n)] == projections_by_scan(lat)
 
 
 # --------------------------------------------------------- orthomodularity
@@ -306,11 +310,36 @@ def test_projection_facts_hold_on_omls():
 
 
 def test_projection_facts_project_each_pair_once(count_calls):
-    # the four laws read one table of the 16 * 16 projections of B4; law by
-    # law they would make 5 * 16**2 + 16**3 = 5,376 calls
+    # the four laws read the 16 * 16 projections of B4, law by law they
+    # would make 5 * 16**2 + 16**3 = 5,376 calls; wilce_check, the 16
+    # principal targets of sasaki_from_oml and every projection_row read
+    # the same kept rows, where computing afresh would make 495 calls
     calls = count_calls(lattice, "sasaki_projection")
-    assert all(v.holds for v in projection_facts(corpus.boolean_lattice(4)).values())
+    b4 = corpus.boolean_lattice(4)
+    assert all(v.holds for v in projection_facts(b4).values())
     assert len(calls) == 256
+    rep = wilce_check(b4)
+    assert rep.covering.holds and rep.basic_to_basic.holds
+    x = oml_to_orthoset(b4)
+    for p in range(b4.n):
+        a = frozenset(e for e in range(x.n) if b4.leq(b4.index(x.labels[e]), p))
+        assert sasaki_from_oml(b4, a, x).target == a
+    assert all(len(b4.projection_row(i)) == b4.n for i in range(b4.n))
+    assert len(calls) == 256
+
+
+def test_projection_rows_match_scan_oracle():
+    # benzene is not orthomodular: rows do not need the law; the orthoclosed
+    # lattices of small orthosets are checked with the meet and join tables
+    lats = {f"B{n}": corpus.boolean_lattice(n) for n in range(1, 6)}
+    lats |= {f"MO{n}": corpus.mo_lattice(n) for n in range(1, 13)}
+    lats |= {
+        f"B{m}+B{n}": corpus.horizontal_sum(corpus.boolean_lattice(m), corpus.boolean_lattice(n))
+        for m in range(2, 5) for n in range(m, 5)
+    }
+    lats["benzene"] = lat_of("benzene")
+    for name, lat in lats.items():
+        assert [lat.projection_row(x) for x in range(lat.n)] == projections_by_scan(lat), name
 
 
 def test_self_adjoint_law_matches_scan_oracle_on_corrupted_tables():
@@ -330,13 +359,13 @@ def test_self_adjoint_law_matches_scan_oracle_on_corrupted_tables():
     for name, lat in lats.items():
         r = range(lat.n)
         pi = [[sasaki_projection(lat, x, y) for y in r] for x in r]
-        assert next(lattice._self_adjoint_failures(lat, pi), None) is None
+        assert next(lattice._self_adjoint_failures(lat.up, lat.down, lat.ortho, pi), None) is None
         assert self_adjoint_by_scan(lat, pi) is None
         for _ in range(300):
             x, y = rng.randrange(lat.n), rng.randrange(lat.n)
             bad = [row[:] for row in pi]
             bad[x][y] = rng.choice([v for v in r if v != pi[x][y]])
-            got = next(lattice._self_adjoint_failures(lat, bad), None)
+            got = next(lattice._self_adjoint_failures(lat.up, lat.down, lat.ortho, bad), None)
             assert got == self_adjoint_by_scan(lat, bad), (name, x, y, bad[x][y])
             failures += got is not None
     assert failures > 0

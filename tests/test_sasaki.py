@@ -484,6 +484,34 @@ def test_sasaki_from_oml_every_principal_target():
         assert is_sasaki_map(x, a, w.table).holds
 
 
+def test_sasaki_from_oml_under_another_element_order():
+    # the orthoset of nonzero elements, rebuilt from its document with the
+    # elements and pairs shuffled: every principal target gives the same
+    # map by labels as in lattice order, and {a, b} is still refused
+    rng = random.Random(22)
+    for name, lat in (("horizontal_sum_lattice", corpus.get("horizontal_sum_lattice").build()),
+                      ("MO3", corpus.mo_lattice(3))):
+        x = oml_to_orthoset(lat)
+        doc = x.to_json()
+        for _ in range(5):
+            rng.shuffle(doc["elements"])
+            rng.shuffle(doc["orthogonal"])
+            y = Orthoset.from_json(doc)
+            assert y.labels != x.labels
+            for p in range(lat.n):
+                labels = [label for label in x.labels if lat.leq(lat.index(label), p)]
+                want = sasaki_from_oml(lat, x.subset(labels), x).to_json(x)
+                got = sasaki_from_oml(lat, y.subset(labels), y).to_json(y)
+                assert sorted(got["target"]) == sorted(want["target"]), (name, p)
+                assert got["map"] == want["map"], (name, p)
+            for z in (x, y):
+                a = z.subset(["a", "b"])
+                with pytest.raises(NotPrincipalError) as err:
+                    sasaki_from_oml(lat, a, z)
+                assert str(err.value) == (
+                    f"target {z.labels_of(a)!r} is not the trace of a principal down-set")
+
+
 def test_sasaki_from_oml_scans_orthomodularity_once(count_calls):
     calls = count_calls(lattice, "is_orthomodular")
     lat = corpus.mo_lattice(3)
