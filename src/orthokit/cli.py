@@ -25,7 +25,7 @@ import sys
 from typing import Any, Callable
 
 from . import corpus as corpus_mod
-from .config import run_budgets, snapshot
+from .config import BUDGETS, budgets, snapshot
 from .errors import BudgetExceededError, InputError, OrthokitError
 from .hermitian import (
     format_vector,
@@ -445,11 +445,8 @@ def _cmd_corpus(args: argparse.Namespace) -> tuple[Any, list[str], int]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--family-budget", type=int, default=None)
-    p.add_argument("--clique-budget", type=int, default=None)
-    p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--lattice-cap", type=int, default=None)
-    p.add_argument("--automorphism-bound", type=int, default=None)
+    for *_, flag in BUDGETS.values():
+        p.add_argument(flag, type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,19 +564,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # resolved first, so that a bad budget is an input error whether
         # or not the command reads it; the command runs under the budgets
-        # the envelope echoes, and the next run starts from the defaults
-        budgets = snapshot(
-            family=args.family_budget,
-            clique=args.clique_budget,
-            nodes=args.node_budget,
-            automorphism=args.automorphism_bound,
-            lattice_cap=args.lattice_cap,
-        )
-        token = run_budgets.set(budgets)
-        try:
+        # the envelope echoes, and the earlier budgets are back afterwards
+        run = snapshot(**{name: getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
+                          for name, (*_, flag) in BUDGETS.items()})
+        with budgets(**run):
             result, lines, code = args.handler(args)
-        finally:
-            run_budgets.reset(token)
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: budget exceeded: {exc}\n")
         return 3
@@ -592,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
             "command": _command_name(args),
             "input": _input_echo(args),
             "seed": args.seed,
-            "budgets": budgets,
+            "budgets": run,
             "result": result,
         }
         sys.stdout.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")

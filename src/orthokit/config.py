@@ -1,36 +1,41 @@
-"""Budgets: their defaults, their ORTHOKIT_* variables, and the run's values.
+"""Budgets: their defaults, ORTHOKIT_* variables and CLI flags, and the
+run's values.
 
-Every potentially expensive routine takes an optional budget argument and
-passes it to `resolve`: an explicit argument wins, else the value of the
-current run applies, and outside a run that is the default.  Only the CLI
-reads the environment: `snapshot` resolves its flags and the ORTHOKIT_*
-variables once, the envelope echoes the result, and the command runs under
-it (`run_budgets`), so every command enforces the budgets it reports.
-Negative or malformed values are input errors.  Budgets exist to make
-non-termination impossible, not to be tuned per call site.
+Every potentially expensive routine reads the budget it enforces with
+`resolve`: the current run's value, the default outside a run.  No routine
+takes a budget argument; `with budgets(family=...):` sets values for a
+block, for a library caller and for the CLI alike.  Only `snapshot` reads
+the environment: the CLI resolves its flags and the ORTHOKIT_* variables
+once, the envelope echoes the result, and the command runs under it, so
+every command enforces the budgets it reports.  Negative or malformed
+values are input errors.  Budgets exist to make non-termination
+impossible, not to be tuned per call site.
 """
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from contextvars import ContextVar
+from typing import Iterator
 
 from .errors import InputError
 
-# name: (default, environment variable, name in error messages)
-BUDGETS: dict[str, tuple[int, str, str]] = {
+# name: (default, environment variable, name in error messages, CLI flag),
+# in the order of the flags
+BUDGETS: dict[str, tuple[int, str, str, str]] = {
     # max orthoclosed sets enumerated
-    "family": (10_000, "ORTHOKIT_FAMILY_BUDGET", "family budget"),
+    "family": (10_000, "ORTHOKIT_FAMILY_BUDGET", "family budget", "--family-budget"),
     # max perp-sets enumerated
-    "clique": (100_000, "ORTHOKIT_CLIQUE_BUDGET", "clique budget"),
+    "clique": (100_000, "ORTHOKIT_CLIQUE_BUDGET", "clique budget", "--clique-budget"),
     # max nodes in a Sasaki map search
-    "nodes": (10_000_000, "ORTHOKIT_NODE_BUDGET", "node budget"),
-    # max |X| for the transitivity search
-    "automorphism": (10, "ORTHOKIT_AUTOMORPHISM_BOUND", "automorphism bound"),
+    "nodes": (10_000_000, "ORTHOKIT_NODE_BUDGET", "node budget", "--node-budget"),
     # max lattice size accepted
-    "lattice_cap": (64, "ORTHOKIT_LATTICE_CAP", "lattice cap"),
+    "lattice_cap": (64, "ORTHOKIT_LATTICE_CAP", "lattice cap", "--lattice-cap"),
+    # max |X| for the transitivity search
+    "automorphism": (10, "ORTHOKIT_AUTOMORPHISM_BOUND", "automorphism bound", "--automorphism-bound"),
 }
 
-# the budgets of the current run: the defaults, or what the CLI resolved
+# the budgets of the current run: the defaults, or what `budgets` set
 run_budgets: ContextVar[dict[str, int]] = ContextVar(
     "run_budgets", default={name: spec[0] for name, spec in BUDGETS.items()}
 )
@@ -39,16 +44,32 @@ run_budgets: ContextVar[dict[str, int]] = ContextVar(
 def _non_negative(value: int, source: str) -> int:
     """A budget is a non-negative integer; anything else is an input error,
     so that the budget a report echoes is the one that was enforced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{source} must be an integer, got {value!r}")
     if value < 0:
         raise InputError(f"{source} must be non-negative, got {value}")
     return value
 
 
-def resolve(name: str, override: int | None = None) -> int:
-    """The budget `name`: the override if given, else the run's value."""
-    if override is None:
-        return run_budgets.get()[name]
-    return _non_negative(override, BUDGETS[name][2])
+def resolve(name: str) -> int:
+    """The current run's value of the budget `name`."""
+    return run_budgets.get()[name]
+
+
+@contextmanager
+def budgets(**values: int) -> Iterator[None]:
+    """Run the body under the current run's budgets with `values` (keyed by
+    budget name) in place of theirs; the earlier budgets are back on exit,
+    also when the body raises."""
+    for name, value in values.items():
+        if name not in BUDGETS:
+            raise TypeError(f"unknown budget {name!r}; known: {', '.join(BUDGETS)}")
+        _non_negative(value, BUDGETS[name][2])
+    token = run_budgets.set({**run_budgets.get(), **values})
+    try:
+        yield
+    finally:
+        run_budgets.reset(token)
 
 
 def snapshot(*, family: int | None = None, clique: int | None = None,
@@ -58,17 +79,17 @@ def snapshot(*, family: int | None = None, clique: int | None = None,
     flag) if given, else its ORTHOKIT_* variable, else its default."""
     flags = {"family": family, "clique": clique, "nodes": nodes,
              "automorphism": automorphism, "lattice_cap": lattice_cap}
-    budgets = {}
-    for name, (default, env, _) in BUDGETS.items():
+    values = {}
+    for name, (default, env, source, _) in BUDGETS.items():
         raw = os.environ.get(env)
         if flags[name] is not None:
-            budgets[name] = resolve(name, flags[name])
+            values[name] = _non_negative(flags[name], source)
         elif raw is None:
-            budgets[name] = default
+            values[name] = default
         else:
             try:
                 value = int(raw)
             except ValueError:
                 raise InputError(f"{env}={raw!r} is not an integer") from None
-            budgets[name] = _non_negative(value, env)
-    return budgets
+            values[name] = _non_negative(value, env)
+    return values

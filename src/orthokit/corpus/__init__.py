@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import suppress
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Callable, Mapping
@@ -96,12 +97,12 @@ def _boolean_labels(n: int) -> tuple[list[str], list[str]]:
     return labels, atoms
 
 
-def boolean_lattice(n: int, cap: int | None = None) -> OrthoLattice:
+def boolean_lattice(n: int) -> OrthoLattice:
     """The powerset of n atoms as an ortholattice (complement as ortho)."""
     if n < 0:
         raise InputError("boolean lattice needs n >= 0")
     # 2^n > cap iff n >= cap.bit_length(); 2^n itself may be too big to form
-    cap = resolve("lattice_cap", cap)
+    cap = resolve("lattice_cap")
     if n >= cap.bit_length():
         raise BudgetExceededError(f"lattice size 2^{n} exceeds cap of {cap}")
     labels, _ = _boolean_labels(n)
@@ -109,14 +110,14 @@ def boolean_lattice(n: int, cap: int | None = None) -> OrthoLattice:
     full = size - 1
     up = _up_sets(range(size), n)
     ortho = [full ^ mask for mask in range(size)]
-    return OrthoLattice(labels, up, ortho, cap=cap)
+    return OrthoLattice(labels, up, ortho)
 
 
-def mo_lattice(n: int, cap: int | None = None) -> OrthoLattice:
+def mo_lattice(n: int) -> OrthoLattice:
     """MO_n: n complemented atom pairs with no other comparabilities."""
     if n < 1:
         raise InputError("mo_n needs n >= 1")
-    _check_cap(2 * n + 2, cap)  # before building the up-sets
+    _check_cap(2 * n + 2)  # before building the up-sets
     labels = ["0"]
     for i in range(n):
         stem = "abcdefgh"[i] if n <= 8 else f"x{i + 1}"
@@ -136,16 +137,15 @@ def mo_lattice(n: int, cap: int | None = None) -> OrthoLattice:
     for i in range(n):
         ortho += [2 + 2 * i, 1 + 2 * i]
     ortho.append(0)
-    return OrthoLattice(labels, up, ortho, cap=cap)
+    return OrthoLattice(labels, up, ortho)
 
 
-def horizontal_sum(left: OrthoLattice, right: OrthoLattice,
-                   cap: int | None = None) -> OrthoLattice:
+def horizontal_sum(left: OrthoLattice, right: OrthoLattice) -> OrthoLattice:
     """Glue two ortholattices at their bounds; no other comparabilities.
 
     Proper elements keep their labels behind 'l.' and 'r.' prefixes.
     """
-    _check_cap(2 + sum(lat.n - len({lat.bottom, lat.top}) for lat in (left, right)), cap)
+    _check_cap(2 + sum(lat.n - len({lat.bottom, lat.top}) for lat in (left, right)))
     out_labels = ["0"]
     blocks: list[tuple[str, OrthoLattice]] = [("l", left), ("r", right)]
     position: dict[tuple[str, int], int] = {}
@@ -182,7 +182,7 @@ def horizontal_sum(left: OrthoLattice, right: OrthoLattice,
                     "horizontal sum needs proper elements with proper orthocomplements"
                 )
             ortho[me] = position[(prefix, o)]
-    return OrthoLattice(out_labels, up, ortho, cap=cap)
+    return OrthoLattice(out_labels, up, ortho)
 
 
 def random_orthoset(n: int, p: float, seed: int) -> Orthoset:
@@ -203,28 +203,32 @@ def random_orthoset(n: int, p: float, seed: int) -> Orthoset:
 
 
 def _number(kind: type, key: str, raw: Any) -> Any:
-    """Generator parameter `key` converted by `kind` (int or float)."""
-    try:
-        return kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"generator parameter {key!r} must be a number, got {raw!r}") from None
+    """Generator parameter `key` as `kind` (int or float), checked, not
+    coerced: an int, or for float an int or a float; never a bool."""
+    if not isinstance(raw, bool) and isinstance(raw, (int, float) if kind is float else int):
+        with suppress(OverflowError):  # an int too large for a float
+            return kind(raw)
+    expected = "a number" if kind is float else "an integer"
+    raise InputError(f"generator parameter {key!r} must be {expected}, got {raw!r}")
 
 
-def generate(kind: str, params: Mapping[str, Any], seed: int = 0,
-             cap: int | None = None) -> Orthoset | OrthoLattice:
+def generate(kind: str, params: Mapping[str, Any], seed: int = 0) -> Orthoset | OrthoLattice:
     """Build a corpus object from a generator name and parameter mapping;
-    `cap` bounds the size of a generated lattice, as in OrthoLattice."""
+    the run's lattice cap bounds the size of a generated lattice, as in
+    OrthoLattice."""
     params = dict(params)
     try:
         if kind == "complete_graph":
             n = _number(int, "n", params.pop("n"))
+            if n < 0:
+                raise InputError(f"generator parameter 'n' must be non-negative, got {n}")
             labels = [f"x{i + 1}" for i in range(n)]
             pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
             out: Orthoset | OrthoLattice = Orthoset.build(labels, pairs)
         elif kind == "boolean":
-            out = boolean_lattice(_number(int, "n", params.pop("n")), cap)
+            out = boolean_lattice(_number(int, "n", params.pop("n")))
         elif kind == "mo_n":
-            out = mo_lattice(_number(int, "n", params.pop("n")), cap)
+            out = mo_lattice(_number(int, "n", params.pop("n")))
         elif kind == "random_orthoset":
             n = _number(int, "n", params.pop("n"))
             out = random_orthoset(n, _number(float, "p", params.pop("p", 0.4)), seed)
@@ -233,7 +237,7 @@ def generate(kind: str, params: Mapping[str, Any], seed: int = 0,
             if not isinstance(ranks, (list, tuple)) or len(ranks) != 2:
                 raise InputError("horizontal_sum needs 'ranks': [m, n]")
             m, n = (_number(int, "ranks", r) for r in ranks)
-            out = horizontal_sum(boolean_lattice(m, cap), boolean_lattice(n, cap), cap)
+            out = horizontal_sum(boolean_lattice(m), boolean_lattice(n))
         else:
             raise InputError(
                 f"unknown generator {kind!r}; known: complete_graph, boolean, "

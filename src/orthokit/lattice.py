@@ -33,9 +33,9 @@ from .orthoset import (Orthoset, Subset, Verdict, _bits, _bound_rows, _first_bij
                        first_counterexample)
 
 
-def _check_cap(size: int, cap: int | None) -> None:
-    """Refuse a lattice of `size` elements over the lattice cap."""
-    cap = resolve("lattice_cap", cap)
+def _check_cap(size: int) -> None:
+    """Refuse a lattice of `size` elements over the run's lattice cap."""
+    cap = resolve("lattice_cap")
     if size > cap:
         raise BudgetExceededError(f"lattice size {size} exceeds cap of {cap}")
 
@@ -45,13 +45,12 @@ class OrthoLattice:
     orthomodular and covering verdicts and each row of its Sasaki
     projections are computed once, on first use."""
 
-    def __init__(self, labels: Iterable[str], up: Iterable[int], ortho: Iterable[int],
-                 cap: int | None = None):
+    def __init__(self, labels: Iterable[str], up: Iterable[int], ortho: Iterable[int]):
         self.labels: tuple[str, ...] = tuple(labels)
         n = len(self.labels)
         if n == 0:
             raise LatticeLawError("empty", None)
-        _check_cap(n, cap)
+        _check_cap(n)
         if len(set(self.labels)) != n:
             raise InputError("duplicate lattice element label")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -183,7 +182,7 @@ class OrthoLattice:
         }
 
 
-def build_lattice(doc: Any, cap: int | None = None) -> OrthoLattice:
+def build_lattice(doc: Any) -> OrthoLattice:
     """Parse and validate the lattice document format.
 
     `leq` pairs may be covers or any generating relation; the reflexive
@@ -223,7 +222,7 @@ def build_lattice(doc: Any, cap: int | None = None) -> OrthoLattice:
         if target not in index:
             raise InputError(f"orthocomplement of {lab!r} is unknown element {target!r}")
         ortho.append(index[target])
-    return OrthoLattice(elements, up, ortho, cap=cap)
+    return OrthoLattice(elements, up, ortho)
 
 
 # --------------------------------------------------------------- predicates
@@ -407,28 +406,26 @@ def set_label(x: Orthoset, s: Subset) -> str:
     ) + "}"
 
 
-def orthoclosed_lattice(x: Orthoset, budget: int | None = None,
-                        cap: int | None = None) -> OrthoLattice:
+def orthoclosed_lattice(x: Orthoset) -> OrthoLattice:
     """The complete ortholattice of orthoclosed sets, ordered by inclusion.
 
     Element i of the result is the i-th member of x.orthoclosed_family()
     in canonical order; labels render the member sets.  Built on the first
-    call and kept on x's closure table; each call checks `budget` and `cap`
-    as a fresh build does.
+    call and kept on x's closure table; each call checks the run's family
+    budget and lattice cap as a fresh build does.
     """
-    t = x.closure_table(budget)
+    t = x.closure_table()
     if t.lattice is None:
-        t.lattice = OrthoLattice([set_label(x, s) for s in t.sets], t.up, t.perp, cap=cap)
+        t.lattice = OrthoLattice([set_label(x, s) for s in t.sets], t.up, t.perp)
     else:
-        _check_cap(t.lattice.n, cap)
+        _check_cap(t.lattice.n)
     return t.lattice
 
 
-def dacey_criterion(x: Orthoset, family_budget: int | None = None,
-                    clique_budget: int | None = None) -> Verdict:
+def dacey_criterion(x: Orthoset) -> Verdict:
     """For every orthoclosed A and maximal perp-set D inside A: A = closure(D)."""
-    family = x.closure_table(family_budget).masks
-    limit = resolve("clique", clique_budget)
+    family = x.closure_table().masks
+    limit = resolve("clique")
     for a in family:
         for d in x._maximal_perp_masks(a, limit):
             if x._perp(x._perp(d)) != a:
@@ -436,13 +433,13 @@ def dacey_criterion(x: Orthoset, family_budget: int | None = None,
     return Verdict(True)
 
 
-def is_dacey(x: Orthoset, via: str = "criterion", budget: int | None = None) -> Verdict:
+def is_dacey(x: Orthoset, via: str = "criterion") -> Verdict:
     """Dacey space check, through the maximal-perp-set criterion or through
     orthomodularity of the orthoclosed-set lattice.  Both routes agree."""
     if via == "criterion":
-        return dacey_criterion(x, family_budget=budget)
+        return dacey_criterion(x)
     if via == "lattice":
-        return orthoclosed_lattice(x, budget=budget).orthomodular
+        return orthoclosed_lattice(x).orthomodular
     raise ValueError(f"unknown dacey route {via!r}")
 
 
@@ -517,23 +514,22 @@ class RoundtripResult:
     detail: str | None = None
 
 
-def roundtrip_check(obj: Orthoset | OrthoLattice, budget: int | None = None,
-                    cap: int | None = None) -> RoundtripResult:
-    """`budget` bounds the orthoclosed family and `cap` the lattice built
-    from it, as in orthoclosed_lattice."""
+def roundtrip_check(obj: Orthoset | OrthoLattice) -> RoundtripResult:
+    """The run's family budget bounds the orthoclosed family and its lattice
+    cap the lattice built from it, as in orthoclosed_lattice."""
     if isinstance(obj, Orthoset):
-        return _roundtrip_orthoset(obj, budget, cap)
+        return _roundtrip_orthoset(obj)
     if isinstance(obj, OrthoLattice):
-        return _roundtrip_lattice(obj, budget, cap)
+        return _roundtrip_lattice(obj)
     raise InputError("roundtrip_check expects an Orthoset or an OrthoLattice")
 
 
-def _roundtrip_orthoset(x: Orthoset, budget: int | None, cap: int | None) -> RoundtripResult:
+def _roundtrip_orthoset(x: Orthoset) -> RoundtripResult:
     pc = x.is_point_closed()
     if not pc.holds:
         return RoundtripResult(False, "orthoset", hypothesis_failure=("point-closed", pc.witness))
-    lat = orthoclosed_lattice(x, budget, cap)
-    closed = x.closure_table(budget)
+    lat = orthoclosed_lattice(x)
+    closed = x.closure_table()
     table = [closed.index[1 << e] for e in range(x.n)]
     if sorted(table) != sorted(lat.atoms):
         return RoundtripResult(False, "orthoset", detail="singletons do not exhaust the atoms")
@@ -550,15 +546,15 @@ def _roundtrip_orthoset(x: Orthoset, budget: int | None, cap: int | None) -> Rou
     return RoundtripResult(True, "orthoset", mapping=mapping)
 
 
-def _roundtrip_lattice(lat: OrthoLattice, budget: int | None, cap: int | None) -> RoundtripResult:
+def _roundtrip_lattice(lat: OrthoLattice) -> RoundtripResult:
     rep = lat.covering_report
     if not rep.atomistic.holds:
         return RoundtripResult(
             False, "lattice", hypothesis_failure=("atomistic", rep.atomistic.witness)
         )
     x = atoms_to_orthoset(lat)
-    produced = orthoclosed_lattice(x, budget, cap)
-    closed = x.closure_table(budget)
+    produced = orthoclosed_lattice(x)
+    closed = x.closure_table()
     table: list[int] = []
     for p in range(lat.n):
         below = sum(1 << k for k, a in enumerate(lat.atoms) if lat.leq(a, p))

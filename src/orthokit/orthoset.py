@@ -303,29 +303,30 @@ class Orthoset:
         m = self._mask(s)
         return self._perp(self._perp(m)) == m
 
-    def orthoclosed_family(self, budget: int | None = None) -> list[Subset]:
+    def orthoclosed_family(self) -> list[Subset]:
         """All orthoclosed sets, in canonical order."""
-        return list(self.closure_table(budget).sets)
+        return list(self.closure_table().sets)
 
-    def closure_table(self, budget: int | None = None) -> "ClosureTable":
+    def closure_table(self) -> "ClosureTable":
         """The family as a ClosureTable, enumerated on the first call and kept
-        outside the fields; each call checks `budget` as the enumeration does."""
+        outside the fields; each call checks the run's family budget, as the
+        enumeration does."""
         t = self._closure_table
         if t is None:
-            t = ClosureTable(self, budget)
+            t = ClosureTable(self)
             object.__setattr__(self, "_closure_table", t)
-        elif len(t.masks) > (limit := resolve("family", budget)):
+        elif len(t.masks) > (limit := resolve("family")):
             raise _family_budget_error(limit)
         return t
 
-    def _closed_masks(self, budget: int | None = None) -> list[int]:
+    def _closed_masks(self) -> list[int]:
         """The orthoclosed family as masks, in canonical order.
 
         Every orthoclosed set is an intersection of single-element perps
         (the empty intersection being X), so the family is the closure of
         {X} under intersection with the point perps.
         """
-        limit = resolve("family", budget)
+        limit = resolve("family")
         family = {self._full}
         frontier = [self._full]
         while frontier:
@@ -343,12 +344,12 @@ class Orthoset:
 
     # ---------------------------------------------------------- perp-sets
 
-    def maximal_perp_sets(self, within: Subset | None = None, budget: int | None = None) -> list[Subset]:
+    def maximal_perp_sets(self, within: Subset | None = None) -> list[Subset]:
         """Maximal sets of pairwise-orthogonal elements inside `within`
         (default: the whole universe), in canonical order.  The empty
         orthoset has the empty set as its one maximal perp-set."""
         w = self._full if within is None else self._mask(within)
-        return [frozenset(_bits(m)) for m in self._maximal_perp_masks(w, resolve("clique", budget))]
+        return [frozenset(_bits(m)) for m in self._maximal_perp_masks(w, resolve("clique"))]
 
     def _maximal_perp_masks(self, w: int, limit: int) -> list[int]:
         """Bron-Kerbosch with pivoting on the orthogonality graph restricted
@@ -380,10 +381,10 @@ class Orthoset:
         out.sort(key=_mask_key)
         return out
 
-    def perp_sets(self, within: Subset | None = None, budget: int | None = None) -> list[Subset]:
+    def perp_sets(self, within: Subset | None = None) -> list[Subset]:
         """All perp-sets (the empty one included) inside `within`, canonical order."""
         w = self._full if within is None else self._mask(within)
-        return [frozenset(_bits(m)) for m in self._perp_set_masks(w, resolve("clique", budget))]
+        return [frozenset(_bits(m)) for m in self._perp_set_masks(w, resolve("clique"))]
 
     def _perp_set_masks(self, w: int, limit: int) -> list[int]:
         """All perp-sets inside the mask w, as masks in canonical order.
@@ -410,9 +411,9 @@ class Orthoset:
         out.sort(key=_mask_key)
         return out
 
-    def rank(self, budget: int | None = None) -> int:
+    def rank(self) -> int:
         """Largest size of a perp-set; 0 for the empty orthoset."""
-        return max(m.bit_count() for m in self._maximal_perp_masks(self._full, resolve("clique", budget)))
+        return max(m.bit_count() for m in self._maximal_perp_masks(self._full, resolve("clique")))
 
     # ------------------------------------------------------- structural checks
 
@@ -443,13 +444,13 @@ class Orthoset:
             return Verdict(True)
         return Verdict(False, witness=self._labels(comp))
 
-    def is_transitive(self, bound: int | None = None) -> Verdict:
+    def is_transitive(self) -> Verdict:
         """For every ordered pair (e, f): an automorphism sending e to f
         while fixing every element orthogonal to both, found by backtracking.
 
-        Raises BudgetExceededError when |X| exceeds the configured bound.
+        Raises BudgetExceededError when |X| exceeds the automorphism bound.
         """
-        limit = resolve("automorphism", bound)
+        limit = resolve("automorphism")
         if self.n > limit:
             raise BudgetExceededError(
                 f"transitivity search limited to {limit} elements, |X| = {self.n}"
@@ -509,9 +510,9 @@ class ClosureTable:
     a cycle would delay freeing the orthoset.  Masks are not validated.
     """
 
-    def __init__(self, x: Orthoset, budget: int | None = None):
+    def __init__(self, x: Orthoset):
         self._adj, self._full = x._adj, x._full
-        self.masks: tuple[int, ...] = tuple(x._closed_masks(budget))
+        self.masks: tuple[int, ...] = tuple(x._closed_masks())
         self.sets: tuple[Subset, ...] = tuple(frozenset(_bits(m)) for m in self.masks)
         self.index: dict[int, int] = {m: i for i, m in enumerate(self.masks)}
         self.lattice: OrthoLattice | None = None

@@ -155,18 +155,19 @@ def is_sasaki_map(x: Orthoset, a: Subset, table: Mapping[int, int]) -> Verdict:
 class _MapSearch:
     """Every Sasaki map to the target mask a, in lexicographic order: the
     free domain elements (outside a and its perp) take the elements of a in
-    index order, one node per try.  Value v for e clashes with an assigned
-    g when v orth g differs from e orth phi(g); the first such g in a, else
-    the first free one, is recorded with the pruned branch in `trace`.
+    index order, one node per try, up to the run's node budget.  Value v
+    for e clashes with an assigned g when v orth g differs from e orth
+    phi(g); the first such g in a, else the first free one, is recorded
+    with the pruned branch in `trace`.
 
     A root wipe-out needs no search: a free e whose signature adj[e] & a is
     the signature of no value v in a clashes with every v at the fixed
     points, so it is moved to the front of `free`, and its |A| tries are
     recorded, as the loop would record them, without entering the loop."""
 
-    def __init__(self, x: Orthoset, a: int, aperp: int, budget: int):
+    def __init__(self, x: Orthoset, a: int, aperp: int):
         adj = self.adj = x._adj
-        self.a, self.budget = a, budget
+        self.a, self.budget = a, resolve("nodes")
         self.fixed = list(_bits(a))
         self.free = list(_bits(x._full & ~aperp & ~a))
         self.trace: list[tuple[tuple[int, ...], tuple[int, int]]] = []
@@ -225,9 +226,9 @@ class _MapSearch:
             prefix.pop()
 
 
-def find_sasaki_map(x: Orthoset, a: Subset, budget: int | None = None) -> SasakiVerdict:
+def find_sasaki_map(x: Orthoset, a: Subset) -> SasakiVerdict:
     """Lexicographically least Sasaki map to a, or a refutation trace."""
-    search = _MapSearch(x, *_require_orthoclosed(x, a), resolve("nodes", budget))
+    search = _MapSearch(x, *_require_orthoclosed(x, a))
     table = next(iter(search), None)
     if table is not None:
         return SasakiVerdict(True, SasakiMapWitness(a, table), None, search.nodes)
@@ -235,12 +236,11 @@ def find_sasaki_map(x: Orthoset, a: Subset, budget: int | None = None) -> Sasaki
     return SasakiVerdict(False, None, ref, search.nodes)
 
 
-def count_sasaki_maps(x: Orthoset, a: Subset, limit: int = 2,
-                      budget: int | None = None) -> list[SasakiMapWitness]:
+def count_sasaki_maps(x: Orthoset, a: Subset, limit: int = 2) -> list[SasakiMapWitness]:
     """Up to `limit` Sasaki maps in lexicographic order (uniqueness checks)."""
     if limit < 1:
         raise InputError(f"map count limit must be at least 1, got {limit}")
-    search = _MapSearch(x, *_require_orthoclosed(x, a), resolve("nodes", budget))
+    search = _MapSearch(x, *_require_orthoclosed(x, a))
     return [SasakiMapWitness(a, t) for t in islice(search, limit)]
 
 
@@ -360,13 +360,7 @@ class SasakiSpaceVerdict:
         return Verdict(False, witness=x.labels_of(self.first_failure))
 
 
-def is_sasaki_space(
-    x: Orthoset,
-    mode: str = "naive",
-    node_budget: int | None = None,
-    family_budget: int | None = None,
-    clique_budget: int | None = None,
-) -> SasakiSpaceVerdict:
+def is_sasaki_space(x: Orthoset, mode: str = "naive") -> SasakiSpaceVerdict:
     """Does every orthoclosed set admit a Sasaki map?
 
     naive mode searches every orthoclosed target; reduced mode only the
@@ -374,15 +368,15 @@ def is_sasaki_space(
     canonical order and the first failure is reported.
     """
     if mode == "naive":
-        targets = x.orthoclosed_family(family_budget)
+        targets = x.orthoclosed_family()
     elif mode == "reduced":
-        perps = {x._perp(d) for d in x._perp_set_masks(x._full, resolve("clique", clique_budget))}
+        perps = {x._perp(d) for d in x._perp_set_masks(x._full, resolve("clique"))}
         targets = [frozenset(_bits(m)) for m in sorted(perps, key=_mask_key)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     witnesses: dict[Subset, SasakiMapWitness] = {}
     for a in targets:
-        v = find_sasaki_map(x, a, node_budget)
+        v = find_sasaki_map(x, a)
         if not v.exists:
             return SasakiSpaceVerdict(
                 False, mode, tuple(targets), witnesses, first_failure=a, failure=v
@@ -455,11 +449,7 @@ class FinchReport:
         return all(v.holds for v in self.laws.values())
 
 
-def finch_report(
-    x: Orthoset,
-    node_budget: int | None = None,
-    family_budget: int | None = None,
-) -> FinchReport:
+def finch_report(x: Orthoset) -> FinchReport:
     """Exhaustive check of the induced-map laws on a Sasaki space.
 
     Laws: monotonicity, the composition law (total image contained in the
@@ -467,14 +457,14 @@ def finch_report(
     self-adjointness, and preservation of finite joins.  Uses the
     lexicographically-least witness for each target.
     """
-    space = is_sasaki_space(x, "naive", node_budget, family_budget)
+    space = is_sasaki_space(x, "naive")
     if not space.is_sasaki:
         assert space.first_failure is not None
         raise NotSasakiSpaceError(
             f"not a Sasaki space; first failing target {tuple(x.labels_of(space.first_failure))!r}",
             failure=space.failure,
         )
-    return FinchReport(laws=_finch_laws(x, x.closure_table(family_budget), space.witnesses))
+    return FinchReport(laws=_finch_laws(x, x.closure_table(), space.witnesses))
 
 
 def _finch_laws(
@@ -572,18 +562,14 @@ def _finch_law_failures(
 # --------------------------------------------------------------- formula
 
 
-def sasaki_formula_check(
-    x: Orthoset,
-    node_budget: int | None = None,
-    family_budget: int | None = None,
-) -> Verdict:
+def sasaki_formula_check(x: Orthoset) -> Verdict:
     """Point-closed Sasaki spaces determine their maps uniquely:
     phi(e) is the single element of (closure of {e} joined with perp(A))
     intersected with A, and no second Sasaki map to A exists."""
     pc = x.is_point_closed()
     if not pc.holds:
         raise HypothesisViolation("point-closed", pc.witness)
-    space = is_sasaki_space(x, "naive", node_budget, family_budget)
+    space = is_sasaki_space(x, "naive")
     if not space.is_sasaki:
         assert space.first_failure is not None
         raise HypothesisViolation("sasaki-space", x.labels_of(space.first_failure))
@@ -595,7 +581,7 @@ def sasaki_formula_check(
             predicted = x._perp(x._perp(1 << e | aperp)) & am
             if predicted != 1 << table[e]:
                 return Verdict(False, witness=(x._labels(am), x.labels[e], x._labels(predicted)))
-        maps = count_sasaki_maps(x, a, limit=2, budget=node_budget)
+        maps = count_sasaki_maps(x, a, limit=2)
         if len(maps) != 1:
             return Verdict(False, witness=(x._labels(am), "non-unique"))
     return Verdict(True)
@@ -604,19 +590,12 @@ def sasaki_formula_check(
 # ----------------------------------------------------------------- report
 
 
-def property_report(
-    x: Orthoset,
-    name: str = "orthoset",
-    transitive_bound: int | None = None,
-    node_budget: int | None = None,
-    family_budget: int | None = None,
-    clique_budget: int | None = None,
-) -> PropertyReport:
+def property_report(x: Orthoset, name: str = "orthoset") -> PropertyReport:
     """Assemble the standard per-orthoset report used by the CLI."""
-    naive = is_sasaki_space(x, "naive", node_budget, family_budget)
-    reduced = is_sasaki_space(x, "reduced", node_budget, family_budget, clique_budget)
+    naive = is_sasaki_space(x, "naive")
+    reduced = is_sasaki_space(x, "reduced")
     try:
-        transitive: Verdict | None = x.is_transitive(transitive_bound)
+        transitive: Verdict | None = x.is_transitive()
         if transitive is not None and transitive.holds:
             transitive = Verdict(True)  # drop the bulky certificate table
     except BudgetExceededError:
@@ -624,10 +603,10 @@ def property_report(
     return PropertyReport(
         name=name,
         n=x.n,
-        rank=x.rank(clique_budget),
+        rank=x.rank(),
         point_closed=x.is_point_closed(),
         irreducible=x.is_irreducible(),
-        dacey=dacey_criterion(x, family_budget, clique_budget),
+        dacey=dacey_criterion(x),
         sasaki_naive=naive.as_verdict(x),
         sasaki_reduced=reduced.as_verdict(x),
         transitive=transitive,

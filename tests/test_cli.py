@@ -217,12 +217,15 @@ def defaults():
 
 def test_library_calls_do_not_read_the_environment(monkeypatch):
     # every budget set to 0 by variable; only the CLI reads them
-    for _, env, _ in config.BUDGETS.values():
+    for _, env, *_ in config.BUDGETS.values():
         monkeypatch.setenv(env, "0")
     x = corpus.get("complete4").build()
     assert is_sasaki_space(x).is_sasaki
     assert x.is_transitive().holds
     assert corpus.mo_lattice(2).n == 6
+    with config.budgets(nodes=100):
+        assert {name: config.resolve(name) for name in config.BUDGETS} == {**defaults(), "nodes": 100}
+        assert corpus.generate("boolean", {"n": 3}).n == 8
     assert {name: config.resolve(name) for name in config.BUDGETS} == defaults()
 
 
@@ -315,10 +318,12 @@ def large_inputs(tmp_path_factory):
     """K1050 (every subset is a perp-set), 1,100 elements with one
     orthogonal pair, and the lattice MO500 (1,002 elements)."""
     d = tmp_path_factory.mktemp("large")
+    with config.budgets(lattice_cap=2000):
+        mo500 = corpus.mo_lattice(500).to_json()
     docs = {
         "k1050": corpus.generate("complete_graph", {"n": 1050}).to_json(),
         "pair1100": {"elements": [f"x{i}" for i in range(1100)], "orthogonal": [["x0", "x1"]]},
-        "mo500": corpus.mo_lattice(500, cap=2000).to_json(),
+        "mo500": mo500,
     }
     for name, doc in docs.items():
         (d / f"{name}.json").write_text(json.dumps(doc))
@@ -512,7 +517,8 @@ def test_lattice_roundtrip_scans_covering_once(capsys, tmp_path, count_calls):
 
 def test_lattice_roundtrip_honours_lattice_cap(capsys, tmp_path):
     # MO32 has 66 elements, two above the default cap
-    doc = corpus.mo_lattice(32, cap=70).to_json("mo32")
+    with config.budgets(lattice_cap=70):
+        doc = corpus.mo_lattice(32).to_json("mo32")
     path = tmp_path / "mo32.json"
     path.write_text(json.dumps(doc))
     argv = ["lattice", str(path), "--lattice-cap", "70", "--format", "json"]
@@ -609,6 +615,13 @@ def test_corpus_generate_non_numeric_probability_is_an_input_error(capsys):
     argv = ["corpus", "generate", "random_orthoset", "--params", '{"n": 4, "p": "x"}']
     code, out, err = run(capsys, argv)
     assert code == 2 and "'p'" in err and out == ""
+
+
+def test_corpus_generate_refuses_a_bool_parameter(capsys):
+    argv = ["corpus", "generate", "random_orthoset", "--params", '{"n": true}']
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: generator parameter 'n' must be an integer, got True\n"
 
 
 def test_corpus_generate_honours_lattice_cap(capsys):

@@ -6,7 +6,7 @@
 import pytest
 
 from orthokit import BudgetExceededError, FixtureError, InputError, Orthoset, find_lattice_iso
-from orthokit import corpus
+from orthokit import config, corpus
 
 
 # ------------------------------------------------------------ fixture files
@@ -148,10 +148,11 @@ def test_lattice_generators_check_the_cap_before_building(monkeypatch):
         lambda: corpus.boolean_lattice(40),  # 2^40 elements
         lambda: corpus.mo_lattice(40),  # 82 elements
         lambda: corpus.horizontal_sum(b5, b6),  # 2 + 30 + 62 elements
-        lambda: corpus.generate("boolean", {"n": 7}, cap=100),
     ):
         with pytest.raises(BudgetExceededError):
             build()
+    with config.budgets(lattice_cap=100), pytest.raises(BudgetExceededError):
+        corpus.generate("boolean", {"n": 7})
 
 
 def test_random_orthoset_is_seed_deterministic():
@@ -180,3 +181,23 @@ def test_generate_dispatch_and_errors():
         corpus.generate("boolean", {"n": 2, "extra": 1})
     with pytest.raises(InputError):
         corpus.generate("horizontal_sum", {"ranks": [2]})
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("random_orthoset", {"n": True}, "n"),
+    ("random_orthoset", {"n": 2.7}, "n"),
+    ("random_orthoset", {"n": "3"}, "n"),
+    ("random_orthoset", {"n": 3, "p": True}, "p"),
+    ("horizontal_sum", {"ranks": [True, 2]}, "ranks"),
+    ("complete_graph", {"n": -3}, "n"),
+])
+def test_generator_parameters_are_checked_not_coerced(kind, params, key):
+    with pytest.raises(InputError) as err:
+        corpus.generate(kind, params)
+    assert f"generator parameter {key!r} must be" in str(err.value)
+
+
+def test_integer_probability_builds_what_its_float_builds():
+    one = corpus.generate("random_orthoset", {"n": 4, "p": 1}, seed=2)
+    assert one == corpus.generate("random_orthoset", {"n": 4, "p": 1.0}, seed=2)
+    assert one == corpus.generate("complete_graph", {"n": 4})

@@ -28,7 +28,7 @@ from orthokit import (
     set_label,
     wilce_check,
 )
-from orthokit import corpus, lattice
+from orthokit import config, corpus, lattice
 
 from oracles import (
     basic_to_basic_by_scan,
@@ -266,9 +266,11 @@ def test_lattice_route_and_roundtrip_build_the_lattice_once(count_calls):
 
 def test_kept_lattice_rechecks_the_cap():
     # 66 orthoclosed sets; finch reads no lattice, so the cap does not bind it
-    x = oml_to_orthoset(corpus.mo_lattice(32, cap=100))
+    with config.budgets(lattice_cap=100):
+        x = oml_to_orthoset(corpus.mo_lattice(32))
     assert finch_report(x).ok
-    assert orthoclosed_lattice(x, cap=100).n == 66
+    with config.budgets(lattice_cap=100):
+        assert orthoclosed_lattice(x).n == 66
     for route in (lambda: orthoclosed_lattice(x), lambda: is_dacey(x, "lattice")):
         with pytest.raises(BudgetExceededError) as err:
             route()
@@ -538,7 +540,8 @@ def test_find_lattice_iso_matches_the_scan_oracle():
 
 def test_lattice_iso_search_depth_is_not_limited():
     # one level per element: 1,024, above the default recursion limit
-    b10 = corpus.boolean_lattice(10, cap=2000)
+    with config.budgets(lattice_cap=2000):
+        b10 = corpus.boolean_lattice(10)
     iso = find_lattice_iso(b10, b10)
     assert iso is not None and check_lattice_iso(b10, b10, iso.table).holds
 

@@ -13,7 +13,7 @@ from orthokit import (
     orthoclosed_lattice,
     subset_key,
 )
-from orthokit import corpus, orthoset
+from orthokit import config, corpus, orthoset
 from orthokit.orthoset import ClosureTable, _bound_rows, _transpose
 
 from oracles import (
@@ -189,15 +189,16 @@ def test_closure_table_matches_scan_oracles(x):
 
 def test_family_budget_enforced():
     x = corpus.get("complete4").build()  # 16 orthoclosed sets
-    with pytest.raises(BudgetExceededError):
-        x.orthoclosed_family(budget=7)
+    with config.budgets(family=7), pytest.raises(BudgetExceededError):
+        x.orthoclosed_family()
 
 
 def test_closure_table_is_kept_and_enumerated_once(count_calls):
     calls = count_calls(Orthoset, "_closed_masks")
     x = corpus.get("complete4").build()
     t = x.closure_table()
-    assert x.closure_table() is t and x.closure_table(budget=16) is t
+    with config.budgets(family=16):
+        assert x.closure_table() is t
     assert x.orthoclosed_family() == list(t.sets)
     assert len(calls) == 1
     # the kept table is not a field
@@ -241,8 +242,8 @@ def test_perp_sets_of_empty_set():
 
 def test_clique_budget_enforced():
     x = corpus.get("complete4").build()
-    with pytest.raises(BudgetExceededError):
-        x.perp_sets(budget=3)
+    with config.budgets(clique=3), pytest.raises(BudgetExceededError):
+        x.perp_sets()
 
 
 def test_rank_of_a_clique_deeper_than_the_recursion_limit():
@@ -310,8 +311,8 @@ def test_transitive_certificates_are_automorphisms():
 
 def test_transitive_bound_enforced():
     x = corpus.generate("complete_graph", {"n": 4})
-    with pytest.raises(BudgetExceededError):
-        x.is_transitive(bound=3)
+    with config.budgets(automorphism=3), pytest.raises(BudgetExceededError):
+        x.is_transitive()
 
 
 @given(orthosets(max_n=5))

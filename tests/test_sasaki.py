@@ -28,7 +28,7 @@ from orthokit import (
     shortcut_construct,
     verify_refutation,
 )
-from orthokit import corpus, lattice
+from orthokit import config, corpus, lattice
 from orthokit.orthoset import ClosureTable, _bound_rows, _transpose
 from orthokit.sasaki import SasakiMapWitness, _finch_law_failures, _finch_laws
 
@@ -287,12 +287,13 @@ def test_wipe_out_spends_one_node_per_value_of_the_budget():
     x = corpus.generate("random_orthoset", {"n": 18, "p": 0.2}, seed=0)
     a = x.subset(["x5", "x6", "x10"])
     for call in (find_sasaki_map, count_sasaki_maps):
-        with pytest.raises(BudgetExceededError) as err:
-            call(x, a, budget=2)
+        with config.budgets(nodes=2), pytest.raises(BudgetExceededError) as err:
+            call(x, a)
         assert str(err.value) == "sasaki search exceeded 2 nodes"
-    v = find_sasaki_map(x, a, budget=3)
+    with config.budgets(nodes=3):
+        v = find_sasaki_map(x, a)
+        assert count_sasaki_maps(x, a) == []
     assert v.nodes == 3 and verify_refutation(x, v.refutation)
-    assert count_sasaki_maps(x, a, budget=3) == []
 
 
 # (p, seed) of random_orthoset(18, p): targets, refuted targets, nodes summed
@@ -724,16 +725,17 @@ def test_readers_of_a_kept_family_check_their_budget():
     x = x_of("complete4")
     assert len(x.orthoclosed_family()) == 16
     for budget, call in [
-        (7, lambda: x.orthoclosed_family(budget=7)),
-        (15, lambda: lattice.dacey_criterion(x, family_budget=15)),
-        (3, lambda: finch_report(x, family_budget=3)),
+        (7, x.orthoclosed_family),
+        (15, lambda: lattice.dacey_criterion(x)),
+        (3, lambda: finch_report(x)),
     ]:
-        with pytest.raises(BudgetExceededError) as err:
+        with config.budgets(family=budget), pytest.raises(BudgetExceededError) as err:
             call()
         assert str(err.value) == f"orthoclosed family exceeds budget of {budget} sets"
 
 
 def test_property_report_transitive_skipped_over_bound():
     x = corpus.generate("random_orthoset", {"n": 6, "p": 0.5}, seed=1)
-    rep = property_report(x, transitive_bound=3)
+    with config.budgets(automorphism=3):
+        rep = property_report(x)
     assert rep.transitive is None
