@@ -186,7 +186,14 @@ def horizontal_sum(left: OrthoLattice, right: OrthoLattice) -> OrthoLattice:
 
 
 def random_orthoset(n: int, p: float, seed: int) -> Orthoset:
-    """Edge-probability random orthoset; fully determined by (n, p, seed)."""
+    """Edge-probability random orthoset; fully determined by (n, p, seed).
+
+    n and seed must be ints and p an int or a float, never a bool, with the
+    texts of generate's parameter checks; p is used as given, not converted,
+    so the rng seed string of every accepted call is its own.
+    """
+    for kind, key, raw in ((int, "n", n), (float, "p", p), (int, "seed", seed)):
+        _number(kind, key, raw)
     if n < 0:
         raise InputError("random orthoset needs n >= 0")
     if not 0 <= p <= 1:

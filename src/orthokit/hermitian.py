@@ -8,7 +8,9 @@ The form is linear in the first argument and star-linear in the second;
 inner sums its terms as integer numerators over one running common
 denominator and reduces once per call, on both fields.  Anisotropy is
 certified by Sylvester's criterion: positive leading principal minors,
-computed on the realified form in the Gaussian case.
+computed on the realified form in the Gaussian case, by Bareiss's
+fraction-free elimination on the integer numerators of the gram.
+random_space likewise sums R R* + I on Gaussian integer numerators.
 
 Subspaces are kept in reduced row echelon form, which makes equality
 syntactic; a line is a one-dimensional subspace whose representative row
@@ -19,10 +21,15 @@ surviving row is divided by its pivot once at the end.  subspace, contains,
 sum_subspaces, intersect_subspaces, line and the kernel and solve steps of
 perp_subspace and project all go through it.
 
+Each Subspace computes two things at most once and keeps them: the Gram
+system of its basis, which every project onto it reads, and its perp,
+which every perp_subspace of it returns.
+
 sasaki_line computes the image of a line two ways, by orthogonal
 projection and by the subspace formula (line + perp of S) intersect S,
 and insists the routes agree.  The two routes are deliberately
-independent; do not merge them.
+independent; do not merge them: route 1 reads the subspace's kept Gram
+system and never its perp, route 2 its kept perp and never the Gram system.
 """
 from __future__ import annotations
 
@@ -339,7 +346,7 @@ def _kernel(rows: Sequence[Sequence[Scalar]], ncols: int, field: str) -> list[li
     return reduced_basis
 
 
-def _solve(a: list[list[Scalar]], b: list[Scalar], field: str) -> list[Scalar]:
+def _solve(a: Sequence[Sequence[Scalar]], b: list[Scalar], field: str) -> list[Scalar]:
     """Unique solution of a square exact system (raises if singular)."""
     n = len(a)
     aug = [list(a[i]) + [b[i]] for i in range(n)]
@@ -418,30 +425,36 @@ def _sylvester(gram: list[list[Scalar]], field: str) -> None:
 
     For the Gaussian field the certificate runs on the realified quadratic
     form: with gram = a + b*i the real symmetric matrix is [[a, b], [-b, a]].
+    The gram is read as integer numerators over the lcm den of its
+    denominators, and Bareiss elimination runs on that integer matrix
+    (realified on Qi): no pivoting, and each step p*m_ij - m_ik*m_kj is
+    divided exactly by the previous pivot p'.  The k-th pivot is then the
+    k-th leading principal minor of the integer matrix, which is the gram's
+    minor times den**k and so has its sign.  The pass stops at the first
+    pivot that is not positive, so it never divides by zero, and reports
+    the gram's minor Fraction(pivot, den**k).
     """
+    parts = [[_parts(v) for v in row] for row in gram]
+    den = lcm(*[d for row in parts for _, _, d in row])
+    a = [[x * (den // d) for x, _, d in row] for row in parts]
     if field == "Q":
-        real: list[list[Fraction]] = [[v for v in row] for row in gram]  # type: ignore[misc]
+        m = a
     else:
-        n = len(gram)
-        a = [[gram[i][j].re for j in range(n)] for i in range(n)]  # type: ignore[union-attr]
-        b = [[gram[i][j].im for j in range(n)] for i in range(n)]  # type: ignore[union-attr]
-        real = [a[i] + b[i] for i in range(n)]
-        real += [[-b[i][j] for j in range(n)] + a[i] for i in range(n)]
-    # Elimination without row swaps keeps every leading principal minor,
-    # so minor k is the product of the first k pivots.  The pass stops at
-    # the first minor that is not positive, so every pivot it divides by
-    # is nonzero.
-    minor = Fraction(1)
-    for k in range(len(real)):
-        minor *= real[k][k]
-        if minor <= 0:
+        b = [[y * (den // d) for _, y, d in row] for row in parts]
+        m = [a[i] + b[i] for i in range(len(a))]
+        m += [[-y for y in b[i]] + a[i] for i in range(len(a))]
+    # m is the trailing block still to eliminate; its corner is the pivot
+    prev = 1
+    for k in range(1, len(m) + 1):
+        top = m[0]
+        pivot = top[0]
+        if pivot <= 0:
             raise AnisotropyError(
-                f"leading principal minor {k + 1} of the (realified) gram is {minor}, not positive"
+                f"leading principal minor {k} of the (realified) gram is "
+                f"{Fraction(pivot, den ** k)}, not positive"
             )
-        for i in range(k + 1, len(real)):
-            if real[i][k]:
-                factor = real[i][k] / real[k][k]
-                real[i] = [a - factor * b for a, b in zip(real[i], real[k])]
+        m = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in m[1:]]
+        prev = pivot
 
 
 def parse_vector(entries: Sequence[Any], space: HermitianSpace) -> Vector:
@@ -500,7 +513,13 @@ def _parts(v: Scalar | int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Row space in reduced echelon form; equality is tuple equality."""
+    """Row space in reduced echelon form; equality is tuple equality.
+
+    A subspace keeps two things, each computed on its first use: the Gram
+    system of its basis, which project reads, and its perp, which
+    perp_subspace returns.  Neither is a field, so equality and hashing
+    are unchanged.
+    """
 
     space: HermitianSpace
     basis: tuple[Vector, ...]
@@ -508,6 +527,30 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def _gram(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Row m, column k: inner(b_k, b_m), the left side of project's system."""
+        space, basis = self.space, self.basis
+        return tuple(tuple(inner(space, bk, bm) for bk in basis) for bm in basis)
+
+    @cached_property
+    def _perp(self) -> "Subspace":
+        """{x : inner(x, b) = 0 for every basis vector b}."""
+        space = self.space
+        zero = _zero(space.field)
+        constraints: list[list[Scalar]] = []
+        for b in self.basis:
+            row = []
+            for i in range(space.dim):
+                acc = zero
+                for j in range(space.dim):
+                    if b[j]:
+                        acc = acc + space.gram[i][j] * star(b[j])
+                row.append(acc)
+            constraints.append(row)
+        basis = _kernel(constraints, space.dim, space.field)
+        return Subspace(space, tuple(tuple(r) for r in basis))
 
 
 def subspace(space: HermitianSpace, vectors: Sequence[Sequence[Any]]) -> Subspace:
@@ -564,38 +607,39 @@ def _same_space(a: Subspace, b: Subspace) -> None:
         raise InputError("subspaces live in different Hermitian spaces")
 
 
-def perp_subspace(space: HermitianSpace, sub: Subspace) -> Subspace:
-    """{x : inner(x, b) = 0 for every basis vector b}."""
+def _check_owner(space: HermitianSpace, sub: Subspace) -> None:
     if sub.space != space:
         raise InputError("subspace does not belong to the given space")
-    zero = _zero(space.field)
-    constraints: list[list[Scalar]] = []
-    for b in sub.basis:
-        row = []
-        for i in range(space.dim):
-            acc = zero
-            for j in range(space.dim):
-                if b[j]:
-                    acc = acc + space.gram[i][j] * star(b[j])
-            row.append(acc)
-        constraints.append(row)
-    basis = _kernel(constraints, space.dim, space.field)
-    return Subspace(space, tuple(tuple(r) for r in basis))
+
+
+def perp_subspace(space: HermitianSpace, sub: Subspace) -> Subspace:
+    """{x : inner(x, b) = 0 for every basis vector b}.
+
+    The perp is computed (a form row per basis vector, then _kernel) on the
+    first call for sub and kept on it; later calls return the kept perp.
+    """
+    _check_owner(space, sub)
+    return sub._perp
 
 
 def project(space: HermitianSpace, sub: Subspace, vec: Vector) -> Vector:
     """Orthogonal projection onto sub via the exact gram system.  vec must
     hold exact scalars of the space's field, as parse_vector gives; its
-    entries are not checked."""
+    entries are not checked.
+
+    The left side of the system, the Gram matrix of sub's basis, is
+    computed on the first call for sub and kept on it; each call computes
+    the right side, sub.dim inner products, and solves.
+    """
+    _check_owner(space, sub)
     if len(vec) != space.dim:
         raise DimensionMismatchError("vector length does not match the space dimension")
     if sub.dim == 0:
         return space.zero_vector()
     k = sub.dim
     # sum_k t_k inner(b_k, b_m) = inner(vec, b_m) for every m
-    a = [[inner(space, sub.basis[kk], sub.basis[m]) for kk in range(k)] for m in range(k)]
-    rhs = [inner(space, vec, sub.basis[m]) for m in range(k)]
-    t = _solve(a, rhs, space.field)
+    rhs = [inner(space, vec, b) for b in sub.basis]
+    t = _solve(sub._gram, rhs, space.field)
     out = list(space.zero_vector())
     for kk in range(k):
         if t[kk]:
@@ -699,15 +743,23 @@ def random_space(rng: random.Random, dim: int, field: str) -> HermitianSpace:
     if rng.random() < 0.5:
         gram = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
         return make_space(gram, field)
-    r = [[random_scalar(rng, field) for _ in range(dim)] for _ in range(dim)]
+    r = [[_parts(random_scalar(rng, field)) for _ in range(dim)] for _ in range(dim)]
+    # with N = den R for den the lcm of R's denominators, entry (i, j) is
+    # (sum_k N_ik star(N_jk) + den**2 [i = j]) / den**2, summed on Gaussian
+    # integer numerators and reduced once
+    den = lcm(*[d for row in r for _, _, d in row])
+    num = [[(a * (den // d), b * (den // d)) for a, b, d in row] for row in r]
+    sq = den * den
     gram = []
-    for i in range(dim):
+    for i, ri in enumerate(num):
         row = []
-        for j in range(dim):
-            acc = one if i == j else zero
-            for k in range(dim):
-                acc = acc + r[i][k] * star(r[j][k])
-            row.append(acc)
+        for j, rj in enumerate(num):
+            re, im = (sq if i == j else 0), 0
+            for (a, b), (c, e) in zip(ri, rj):
+                # (a + b i)(c - e i)
+                re += a * c + b * e
+                im += b * c - a * e
+            row.append(Fraction(re, sq) if field == "Q" else _reduced(re, im, sq))
         gram.append(row)
     return make_space(gram, field)
 

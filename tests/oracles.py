@@ -4,9 +4,11 @@ The orthoset and lattice oracles recompute from raw adjacency or the
 order relation by full enumeration over subset bitmasks; none of it shares
 code with the package's budgeted or pruned implementations.  The Hermitian
 oracles are the two-Fraction Gaussian rational the package used before its
-integer triples, the form as a plain double sum over Fractions, and the
+integer triples, the form as a plain double sum over Fractions, the
 Gauss-Jordan elimination on field scalars the package used before its
-fraction-free one.
+fraction-free one, the Fraction elimination behind the leading minors
+before Bareiss, and the scalar R R* + I loop of random_space before it
+summed on integer numerators.
 """
 from __future__ import annotations
 
@@ -449,3 +451,64 @@ def rref_by_fractions(rows) -> tuple[list[list], list[int]]:
         if r == len(mat):
             break
     return [row for row in mat[:r]], pivots
+
+
+def leading_minors_by_fractions(gram, field) -> list[Fraction]:
+    """Leading principal minors of the gram (of its realified form
+    [[a, b], [-b, a]] for gram = a + b*i on Qi), by Fraction elimination
+    without row swaps: minor k is the product of the first k pivots.  The
+    list ends at the first minor that is not positive, so every pivot the
+    pass divides by is nonzero."""
+    n = len(gram)
+    parts = [[_re_im(v) for v in row] for row in gram]
+    if field == "Q":
+        real = [[re for re, _ in row] for row in parts]
+    else:
+        a = [[re for re, _ in row] for row in parts]
+        b = [[im for _, im in row] for row in parts]
+        real = [a[i] + b[i] for i in range(n)]
+        real += [[-b[i][j] for j in range(n)] + a[i] for i in range(n)]
+    minors: list[Fraction] = []
+    minor = Fraction(1)
+    for k in range(len(real)):
+        minor *= real[k][k]
+        minors.append(minor)
+        if minor <= 0:
+            break
+        for i in range(k + 1, len(real)):
+            if real[i][k]:
+                factor = real[i][k] / real[k][k]
+                real[i] = [x - factor * y for x, y in zip(real[i], real[k])]
+    return minors
+
+
+def random_gram_by_scalars(rng, dim, field) -> list[list]:
+    """The gram random_space draws from rng, as scalars (Fractions, or the
+    two-Fraction GaussianRational above): the identity when the first
+    draw is below 0.5, else R R* + I with R drawn entry by entry, row by
+    row, each part as randint(-2, 2) over choice((1, 1, 2)), real part
+    first; summed one scalar product at a time."""
+    def fraction():
+        return Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2)))
+
+    def scalar():
+        if field == "Q":
+            return fraction()
+        re = fraction()
+        return GaussianRational(re, fraction())
+
+    zero = Fraction(0) if field == "Q" else GaussianRational(Fraction(0), Fraction(0))
+    one = Fraction(1) if field == "Q" else GaussianRational(Fraction(1), Fraction(0))
+    if rng.random() < 0.5:
+        return [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    r = [[scalar() for _ in range(dim)] for _ in range(dim)]
+    gram = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            acc = one if i == j else zero
+            for k in range(dim):
+                acc = acc + r[i][k] * r[j][k].conjugate()
+            row.append(acc)
+        gram.append(row)
+    return gram

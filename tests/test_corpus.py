@@ -167,6 +167,20 @@ def test_random_orthoset_is_seed_deterministic():
     assert c.n == 5
 
 
+@pytest.mark.parametrize("args, text", [
+    ((True, 0.5, 1), "generator parameter 'n' must be an integer, got True"),
+    ((3, True, 0), "generator parameter 'p' must be a number, got True"),
+    ((3, 0.5, False), "generator parameter 'seed' must be an integer, got False"),
+    ((3.0, 0.5, 0), "generator parameter 'n' must be an integer, got 3.0"),
+    ((3, "0.5", 0), "generator parameter 'p' must be a number, got '0.5'"),
+    ((3, 0.5, "1"), "generator parameter 'seed' must be an integer, got '1'"),
+])
+def test_random_orthoset_checks_its_own_parameters(args, text):
+    with pytest.raises(InputError) as err:
+        corpus.random_orthoset(*args)
+    assert str(err.value) == text
+
+
 def test_generate_dispatch_and_errors():
     assert corpus.generate("boolean", {"n": 2}).n == 4
     assert corpus.generate("mo_n", {"n": 3}).n == 8

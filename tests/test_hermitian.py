@@ -43,8 +43,15 @@ from orthokit import (
     sum_subspaces,
     zero_subspace,
 )
+from orthokit import hermitian
 from orthokit.hermitian import _rref, random_space
-from oracles import GaussianRational as PairGaussian, inner_by_sum, rref_by_fractions
+from oracles import (
+    GaussianRational as PairGaussian,
+    inner_by_sum,
+    leading_minors_by_fractions,
+    random_gram_by_scalars,
+    rref_by_fractions,
+)
 
 
 def gaussians():
@@ -323,6 +330,71 @@ def test_make_space_rejects_negative_and_indefinite_forms():
         make_space([["1", "2i"], ["-2i", "1"]], "Qi")
 
 
+def test_anisotropy_messages_name_the_rational_minor():
+    with pytest.raises(AnisotropyError) as err:
+        make_space([["1", "2"], ["2", "1"]], "Q")
+    assert str(err.value) == "leading principal minor 2 of the (realified) gram is -3, not positive"
+    # realified rows (1,0,0,2), (0,1,-2,0), (0,-2,1,0), (2,0,0,1): minors 1, 1, -3
+    with pytest.raises(AnisotropyError) as err:
+        make_space([["1", "2i"], ["-2i", "1"]], "Qi")
+    assert str(err.value) == "leading principal minor 3 of the (realified) gram is -3, not positive"
+
+
+@st.composite
+def _hermitian_grams(draw, field):
+    """Star-symmetric grams of realified size up to 8, with entries whose
+    denominators reach 10**6: drawn entry by entry (mostly indefinite),
+    or B B* + c I for an n x m matrix B and c >= 0, which is singular when
+    m < n and c = 0 and positive-definite when c > 0."""
+    n = draw(st.integers(1, 8 if field == "Q" else 4))
+    entry = _entries(field)
+    if draw(st.booleans()):
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = draw(_rationals())
+            for j in range(i + 1, n):
+                gram[i][j] = draw(entry)
+                gram[j][i] = star(gram[i][j])
+        return gram
+    m = draw(st.integers(1, n))
+    b = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    c = draw(st.one_of(st.just(0), st.fractions(0, 9, max_denominator=10**6)))
+    return [
+        [sum((u * star(v) for u, v in zip(b[i], b[j])), Fraction(c if i == j else 0)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+@given(data=st.data())
+def test_make_space_verdict_matches_the_fraction_minors(field, data):
+    gram = data.draw(_hermitian_grams(field))
+    minors = leading_minors_by_fractions(gram, field)
+    if minors[-1] > 0:
+        assert make_space(gram, field).dim == len(gram)
+    else:
+        with pytest.raises(AnisotropyError) as err:
+            make_space(gram, field)
+        assert str(err.value) == (
+            f"leading principal minor {len(minors)} of the (realified) gram is {minors[-1]}, not positive"
+        )
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_random_space_matches_the_scalar_loop(field):
+    # the perfbench digests hash check counts only, so a drift in the
+    # grams would pass them unseen
+    for dim in range(1, 5):
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            space = random_space(ours, dim, field)
+            want = random_gram_by_scalars(theirs, dim, field)
+            assert ours.getstate() == theirs.getstate()
+            assert [[(v.re, v.im) if field == "Qi" else (v, 0) for v in row] for row in space.gram] == [
+                [(v.re, v.im) if field == "Qi" else (v, 0) for v in row] for row in want
+            ]
+
+
 def test_make_space_rejects_ragged_or_empty_gram():
     with pytest.raises(DimensionMismatchError):
         make_space([], "Q")
@@ -471,6 +543,41 @@ def test_projection_is_idempotent_and_self_adjoint():
     assert inner(sp, px, y) == inner(sp, x, project(sp, s, y))
     # projecting onto the zero subspace kills everything
     assert project(sp, zero_subspace(sp), x) == sp.zero_vector()
+
+
+def test_project_refuses_a_subspace_of_another_space():
+    # the Gram system kept on a subspace is its own space's
+    sp, other = demo_space(), make_space([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "Qi")
+    s = subspace(other, [["1", "0", "0"], ["0", "1", "0"]])
+    x = parse_vector(["1", "1", "1"], sp)
+    with pytest.raises(InputError, match=r"\Asubspace does not belong to the given space\Z"):
+        project(sp, s, x)
+    with pytest.raises(InputError, match=r"\Asubspace does not belong to the given space\Z"):
+        project(sp, zero_subspace(other), x)
+
+
+def test_a_second_projection_computes_only_the_right_side(count_calls):
+    sp = demo_space()
+    s = subspace(sp, [["1", "0", "0"], ["0", "1", "0"]])
+    x = parse_vector(["1", "1", "1"], sp)
+    first = project(sp, s, x)
+    calls = count_calls(hermitian, "inner")
+    assert project(sp, s, x) == first
+    assert len(calls) == s.dim
+    assert all(args[1] == x for args in calls)
+
+
+def test_sasaki_lines_on_one_subspace_compute_its_perp_once(count_calls):
+    sp = demo_space()
+    s = subspace(sp, [["1", "0", "0"], ["0", "1", "0"]])
+    kernels = count_calls(hermitian, "_kernel")
+    for vec in (["1", "1", "1"], ["1", "0", "6"], ["1", "i", "i"]):
+        sasaki_line(sp, s, line(sp, vec))
+    assert len(kernels) == 1
+    perp = perp_subspace(sp, s)
+    assert perp_subspace(sp, s) is perp
+    assert perp_subspace(sp, perp) == s
+    assert len(kernels) == 2
 
 
 # ------------------------------------------------------------ Sasaki lines
