@@ -324,13 +324,6 @@ def test_make_space_rejects_negative_and_indefinite_forms():
     with pytest.raises(AnisotropyError):
         make_space([["-1"]], "Q")
     # leading minors 1 then -3: positive-definiteness fails at order two
-    with pytest.raises(AnisotropyError):
-        make_space([["1", "2"], ["2", "1"]], "Q")
-    with pytest.raises(AnisotropyError):
-        make_space([["1", "2i"], ["-2i", "1"]], "Qi")
-
-
-def test_anisotropy_messages_name_the_rational_minor():
     with pytest.raises(AnisotropyError) as err:
         make_space([["1", "2"], ["2", "1"]], "Q")
     assert str(err.value) == "leading principal minor 2 of the (realified) gram is -3, not positive"
@@ -384,15 +377,15 @@ def test_make_space_verdict_matches_the_fraction_minors(field, data):
 def test_random_space_matches_the_scalar_loop(field):
     # the perfbench digests hash check counts only, so a drift in the
     # grams would pass them unseen
+    def parts(gram):
+        return [[(v.re, v.im) if field == "Qi" else v for v in row] for row in gram]
+
     for dim in range(1, 5):
         for seed in range(200):
             ours, theirs = random.Random(seed), random.Random(seed)
             space = random_space(ours, dim, field)
-            want = random_gram_by_scalars(theirs, dim, field)
+            assert parts(space.gram) == parts(random_gram_by_scalars(theirs, dim, field))
             assert ours.getstate() == theirs.getstate()
-            assert [[(v.re, v.im) if field == "Qi" else (v, 0) for v in row] for row in space.gram] == [
-                [(v.re, v.im) if field == "Qi" else (v, 0) for v in row] for row in want
-            ]
 
 
 def test_make_space_rejects_ragged_or_empty_gram():
