@@ -37,7 +37,9 @@ from .hermitian import (
     subspace,
 )
 from .lattice import (
+    atoms_and_covering,
     build_lattice,
+    is_orthomodular,
     lattice_to_dot,
     oml_to_orthoset,
     orthoclosed_lattice,
@@ -185,8 +187,8 @@ def _cmd_lattice(args: argparse.Namespace) -> tuple[Any, list[str], int]:
                 fh.write(dot)
         except OSError as exc:
             raise InputError(f"cannot write {args.dot!r}: {exc}") from None
-    om = lat.orthomodular
-    cov = lat.covering_report
+    om = is_orthomodular(lat)
+    cov = atoms_and_covering(lat)
     result: dict[str, Any] = {
         "source": source,
         "size": lat.n,
@@ -318,7 +320,7 @@ def _cmd_oml(args: argparse.Namespace) -> tuple[Any, list[str], int]:
             f"  {json.dumps(witness.to_json(x)['map'])}",
         ]
         return result, lines, 0
-    om = lat.orthomodular
+    om = is_orthomodular(lat)
     result = {"orthomodular": _jsonable(om)}
     lines = [_verdict_line("orthomodular", om)]
     if om.holds:

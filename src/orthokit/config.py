@@ -51,6 +51,15 @@ def _non_negative(value: int, source: str) -> int:
     return value
 
 
+def _spec(name: str) -> tuple[int, str, str, str]:
+    """BUDGETS[name]; a name that is not a budget is a TypeError, as an
+    unknown keyword argument is."""
+    try:
+        return BUDGETS[name]
+    except KeyError:
+        raise TypeError(f"unknown budget {name!r}; known: {', '.join(BUDGETS)}") from None
+
+
 def resolve(name: str) -> int:
     """The current run's value of the budget `name`."""
     return run_budgets.get()[name]
@@ -62,9 +71,7 @@ def budgets(**values: int) -> Iterator[None]:
     budget name) in place of theirs; the earlier budgets are back on exit,
     also when the body raises."""
     for name, value in values.items():
-        if name not in BUDGETS:
-            raise TypeError(f"unknown budget {name!r}; known: {', '.join(BUDGETS)}")
-        _non_negative(value, BUDGETS[name][2])
+        _non_negative(value, _spec(name)[2])
     token = run_budgets.set({**run_budgets.get(), **values})
     try:
         yield
@@ -72,17 +79,16 @@ def budgets(**values: int) -> Iterator[None]:
         run_budgets.reset(token)
 
 
-def snapshot(*, family: int | None = None, clique: int | None = None,
-             nodes: int | None = None, automorphism: int | None = None,
-             lattice_cap: int | None = None) -> dict[str, int]:
+def snapshot(**flags: int | None) -> dict[str, int]:
     """Every budget of a run, for the report header: each keyword (a CLI
-    flag) if given, else its ORTHOKIT_* variable, else its default."""
-    flags = {"family": family, "clique": clique, "nodes": nodes,
-             "automorphism": automorphism, "lattice_cap": lattice_cap}
+    flag, keyed by budget name) if given and not None, else its ORTHOKIT_*
+    variable, else its default."""
+    for name in flags:
+        _spec(name)
     values = {}
     for name, (default, env, source, _) in BUDGETS.items():
         raw = os.environ.get(env)
-        if flags[name] is not None:
+        if flags.get(name) is not None:
             values[name] = _non_negative(flags[name], source)
         elif raw is None:
             values[name] = default

@@ -16,7 +16,8 @@ from typing import Any, Callable, Mapping
 
 from ..config import resolve
 from ..errors import BudgetExceededError, FixtureError, InputError
-from ..lattice import OrthoLattice, _check_cap, build_lattice, is_dacey
+from ..lattice import (OrthoLattice, _check_cap, atoms_and_covering, build_lattice, is_dacey,
+                       is_orthomodular)
 from ..orthoset import Orthoset, _up_sets
 from ..sasaki import is_sasaki_space
 
@@ -284,9 +285,9 @@ ORTHOSET_CHECKS: dict[str, Callable[[Orthoset], Any]] = {
 
 LATTICE_CHECKS: dict[str, Callable[[OrthoLattice], Any]] = {
     "size": lambda lat: lat.n,
-    "orthomodular": lambda lat: lat.orthomodular.holds,
-    "atomistic": lambda lat: lat.covering_report.atomistic.holds,
-    "covering": lambda lat: lat.covering_report.covering.holds,
+    "orthomodular": lambda lat: is_orthomodular(lat).holds,
+    "atomistic": lambda lat: atoms_and_covering(lat).atomistic.holds,
+    "covering": lambda lat: atoms_and_covering(lat).covering.holds,
     "atoms": lambda lat: [lat.labels[a] for a in lat.atoms],
 }
 

@@ -688,11 +688,13 @@ def sasaki_line(space: HermitianSpace, sub: Subspace, ln: Line) -> Line:
     """
     if ln.space != space or sub.space != space:
         raise InputError("line and subspace must live in the given space")
-    if all(not inner(space, ln.rep, b) for b in sub.basis):
+    # the form is anisotropic, so the projection is zero exactly when the
+    # line is orthogonal to every basis vector of sub
+    projected = project(space, sub, ln.rep)
+    if not any(projected):
         raise InputError(
             "line is orthogonal to the subspace: outside the Sasaki map domain"
         )
-    projected = project(space, sub, ln.rep)
     route1 = _line(space, projected)
     shifted = sum_subspaces(line_subspace(ln), perp_subspace(space, sub))
     meet = intersect_subspaces(shifted, sub)

@@ -5,7 +5,8 @@ transpose, the down-sets); the meet and join tables are their bound rows.
 Construction always validates the full axiom set: poset laws, totality of
 meets and joins, and that the orthocomplement is an order-reversing
 involution satisfying the complement laws.  Each row of Sasaki
-projections is built on its first read and kept on the lattice.
+projections, and each of the verdicts is_orthomodular and
+atoms_and_covering, is computed on its first read and kept on the lattice.
 
 Also here: the two bridges between orthosets and ortholattices (elements
 or atoms with x orthogonal to y iff x <= ortho(y), and the lattice of
@@ -41,9 +42,9 @@ def _check_cap(size: int) -> None:
 
 
 class OrthoLattice:
-    """Validated finite ortholattice with meet/join tables; its heights, its
-    orthomodular and covering verdicts and each row of its Sasaki
-    projections are computed once, on first use."""
+    """Validated finite ortholattice with meet/join tables; its heights and
+    each row of its Sasaki projections are computed once, on first use, and
+    it keeps the verdicts of is_orthomodular and atoms_and_covering."""
 
     def __init__(self, labels: Iterable[str], up: Iterable[int], ortho: Iterable[int]):
         self.labels: tuple[str, ...] = tuple(labels)
@@ -107,6 +108,8 @@ class OrthoLattice:
             if self.join(i, self.ortho[i]) != self.top:
                 raise LatticeLawError("x-join-ortho-not-one", self.labels[i])
         self._projections: dict[int, list[int]] = {}
+        self._orthomodular: Verdict | None = None
+        self._covering: CoveringReport | None = None
 
         self.atoms: tuple[int, ...] = tuple(
             i for i in range(n)
@@ -139,14 +142,15 @@ class OrthoLattice:
         return row
 
     def covers(self, i: int, j: int) -> bool:
-        """j covers i: i < j with nothing strictly between."""
-        if i == j or not self.leq(i, j):
-            return False
-        between = self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j)
-        return between == 0
+        """j covers i: i < j with nothing strictly between, that is, the
+        interval [i, j] is exactly {i, j} (it is empty unless i <= j)."""
+        return i != j and self.up[i] & self.down[j] == 1 << i | 1 << j
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(self.n) if self.covers(i, j)]
+        """Every (i, j) where j covers i, testing only the j above i."""
+        up, down = self.up, self.down
+        return [(i, j) for i in range(self.n) for j in _bits(up[i])
+                if j != i and up[i] & down[j] == 1 << i | 1 << j]
 
     def height(self, i: int) -> int:
         """Length of a longest chain from bottom to i."""
@@ -160,16 +164,6 @@ class OrthoLattice:
             if k != self.bottom:
                 h[k] = 1 + max(h[p] for p in _bits(self.down[k]) if p != k)
         return tuple(h)
-
-    @cached_property
-    def orthomodular(self) -> Verdict:
-        """is_orthomodular(self), computed once."""
-        return is_orthomodular(self)
-
-    @cached_property
-    def covering_report(self) -> CoveringReport:
-        """atoms_and_covering(self), computed once."""
-        return atoms_and_covering(self)
 
     def to_json(self, name: str = "lattice") -> dict[str, Any]:
         pairs = sorted([self.labels[i], self.labels[j]] for i, j in self.cover_pairs())
@@ -229,7 +223,14 @@ def build_lattice(doc: Any) -> OrthoLattice:
 
 
 def is_orthomodular(lat: OrthoLattice) -> Verdict:
-    """x <= y implies y = x v (y ^ ortho(x)); counterexample pair on failure."""
+    """x <= y implies y = x v (y ^ ortho(x)); counterexample pair on failure.
+    Scanned on the first call for lat and kept on it."""
+    if lat._orthomodular is None:
+        lat._orthomodular = _orthomodular_scan(lat)
+    return lat._orthomodular
+
+
+def _orthomodular_scan(lat: OrthoLattice) -> Verdict:
     for x in range(lat.n):
         ox = lat.ortho[x]
         for y in _bits(lat.up[x]):
@@ -241,7 +242,7 @@ def is_orthomodular(lat: OrthoLattice) -> Verdict:
 def _require_orthomodular(lat: OrthoLattice, message: str) -> None:
     """Raise NotOrthomodularError, with the failing pair, unless lat is
     orthomodular."""
-    om = lat.orthomodular
+    om = is_orthomodular(lat)
     if not om.holds:
         raise NotOrthomodularError(f"{message}; witness {om.witness!r}")
 
@@ -251,7 +252,7 @@ def _labelled(lat: OrthoLattice) -> Callable[[tuple[int, ...]], tuple[str, ...]]
     return lambda w: tuple(lat.labels[i] for i in w)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoveringReport:
     atoms: tuple[str, ...]
     atomistic: Verdict
@@ -259,7 +260,14 @@ class CoveringReport:
 
 
 def atoms_and_covering(lat: OrthoLattice) -> CoveringReport:
-    """Atoms, atomisticity, and the covering property with witnesses."""
+    """Atoms, atomisticity, and the covering property with witnesses.
+    Scanned on the first call for lat and kept on it."""
+    if lat._covering is None:
+        lat._covering = _covering_scan(lat)
+    return lat._covering
+
+
+def _covering_scan(lat: OrthoLattice) -> CoveringReport:
     atom_set = lat.atoms
     atom_mask = sum(1 << a for a in atom_set)
     up, down, join = lat.up, lat.down, lat.join_t
@@ -439,7 +447,7 @@ def is_dacey(x: Orthoset, via: str = "criterion") -> Verdict:
     if via == "criterion":
         return dacey_criterion(x)
     if via == "lattice":
-        return orthoclosed_lattice(x).orthomodular
+        return is_orthomodular(orthoclosed_lattice(x))
     raise ValueError(f"unknown dacey route {via!r}")
 
 
@@ -547,7 +555,7 @@ def _roundtrip_orthoset(x: Orthoset) -> RoundtripResult:
 
 
 def _roundtrip_lattice(lat: OrthoLattice) -> RoundtripResult:
-    rep = lat.covering_report
+    rep = atoms_and_covering(lat)
     if not rep.atomistic.holds:
         return RoundtripResult(
             False, "lattice", hypothesis_failure=("atomistic", rep.atomistic.witness)
@@ -591,7 +599,7 @@ def wilce_check(lat: OrthoLattice) -> WilceReport:
     and reported together with witnesses.
     """
     _require_orthomodular(lat, "wilce_check requires an orthomodular lattice")
-    covering = lat.covering_report.covering
+    covering = atoms_and_covering(lat).covering
     basic = first_counterexample(
         ((x, a, row[a]) for x, row in enumerate(map(lat.projection_row, range(lat.n)))
          for a in lat.atoms if not is_basic(lat, row[a])),

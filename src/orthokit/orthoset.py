@@ -8,7 +8,9 @@ enumeration of the orthoclosed sets, which form a complete ortholattice.
 At the public API a subset is a frozenset of element indices over a fixed
 parent orthoset; each public method validates its argument once.
 Internally every subset is an int mask (bit i is element i), and one
-unchecked kernel, Orthoset._perp, computes every perp.  The canonical order
+unchecked kernel, Orthoset._perp, computes the perp of a subset, except
+in ClosureTable.perp, which ANDs the point perps of each member itself.
+The canonical order
 on subsets, used everywhere a deterministic enumeration is promised, is
 (cardinality, lexicographic on sorted indices).  Every reader of the
 orthoclosed family goes through Orthoset.closure_table, which enumerates it

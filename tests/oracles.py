@@ -245,6 +245,17 @@ def _order_scan(lat):
     return le, bottom, atoms, lub, glb
 
 
+def cover_pairs_by_scan(lat):
+    """Every (i, j) where j covers i, by i and then j: i < j with no
+    element strictly between, from the order relation alone."""
+    le, *_ = _order_scan(lat)
+    n = range(lat.n)
+    return [
+        (i, j) for i in n for j in n
+        if i != j and le[i][j] and not any(w not in (i, j) and le[i][w] and le[w][j] for w in n)
+    ]
+
+
 def covering_by_scan(lat):
     """Atomisticity and the covering property, each as (holds, first
     witness), from the order relation alone.  Atomistic: every x is the

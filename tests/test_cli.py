@@ -455,7 +455,7 @@ def test_oml_induced_map_golden(capsys, tmp_path):
 
 def test_oml_scans_orthomodularity_once(capsys, tmp_path, count_calls):
     # once for the verdict, not again for projection_facts and wilce_check
-    calls = count_calls(lattice, "is_orthomodular")
+    calls = count_calls(lattice, "_orthomodular_scan")
     path = write_payload(tmp_path, "mo2", "mo2.json")
     code, _, err = run(capsys, ["oml", path])
     assert code == 0, err
@@ -508,7 +508,7 @@ def test_lattice_roundtrip_flag(capsys, tmp_path):
 
 def test_lattice_roundtrip_scans_covering_once(capsys, tmp_path, count_calls):
     # the report and the atomistic hypothesis of the round trip share one scan
-    calls = count_calls(lattice, "atoms_and_covering")
+    calls = count_calls(lattice, "_covering_scan")
     path = write_payload(tmp_path, "mo2", "mo2_lat.json")
     code, _, err = run(capsys, ["lattice", path, "--roundtrip"])
     assert code == 0, err
@@ -656,6 +656,20 @@ def test_hermitian_check_document(capsys, tmp_path):
         {"line": ["1", "1", "1"], "image": ["1", "1-1/2i", "0"]},
         {"line": ["1", "0", "6"], "image": ["1", "-3i", "0"]},
     ]
+
+
+def test_hermitian_check_orthogonal_line_is_an_input_error(capsys, tmp_path):
+    doc = {
+        "field": "Qi",
+        "gram": [["1", "0", "0"], ["0", "2", "i"], ["0", "-i", "2"]],
+        "subspace": [["1", "0", "0"], ["0", "1", "0"]],
+        "lines": [["1", "1", "1"], ["0", "1", "-2i"]],
+    }
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["hermitian", "check", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: line is orthogonal to the subspace: outside the Sasaki map domain\n"
 
 
 def test_hermitian_check_rejects_anisotropy_failure(capsys, tmp_path):

@@ -81,3 +81,8 @@ def test_an_unknown_budget_name_is_refused():
     with pytest.raises(TypeError):
         with config.budgets(famly=7):
             pass
+
+
+def test_snapshot_refuses_an_unknown_budget_name():
+    with pytest.raises(TypeError, match="^unknown budget 'famly'; known: family, clique, "):
+        config.snapshot(famly=1)

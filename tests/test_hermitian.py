@@ -591,8 +591,26 @@ def test_sasaki_line_worked_example():
 def test_sasaki_line_rejects_orthogonal_line():
     sp = demo_space()
     s = subspace(sp, [["1", "0", "0"], ["0", "1", "0"]])
-    with pytest.raises(InputError):
+    message = "line is orthogonal to the subspace: outside the Sasaki map domain"
+    with pytest.raises(InputError) as err:
         sasaki_line(sp, s, line(sp, ["0", "1", "-2i"]))
+    assert str(err.value) == message
+    # every line is orthogonal to the zero subspace
+    with pytest.raises(InputError) as err:
+        sasaki_line(sp, zero_subspace(sp), line(sp, ["1", "1", "1"]))
+    assert str(err.value) == message
+
+
+def test_a_second_sasaki_line_computes_only_the_right_side(count_calls):
+    # the domain check reads the projection, so the line's inner products
+    # with the basis of s are asked for once, by project
+    sp = demo_space()
+    s = subspace(sp, [["1", "0", "0"], ["0", "1", "0"]])
+    sasaki_line(sp, s, line(sp, ["1", "1", "1"]))
+    ln = line(sp, ["1", "0", "6"])
+    calls = count_calls(hermitian, "inner")
+    assert format_vector(sasaki_line(sp, s, ln).rep) == ["1", "-3i", "0"]
+    assert len(calls) == s.dim
 
 
 def test_sasaki_line_adjointness_on_demo_plane():

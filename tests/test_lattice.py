@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,7 @@ from orthokit import config, corpus, lattice
 
 from oracles import (
     basic_to_basic_by_scan,
+    cover_pairs_by_scan,
     covering_by_scan,
     lattice_iso_by_scan,
     meet_join_by_scan,
@@ -165,6 +167,7 @@ def assert_tables_match_scan(lat):
     assert [list(row) for row in lat.join_t] == scan["join"]
     assert (lat.bottom, lat.top) == (scan["bottom"], scan["top"])
     assert [lat.height(i) for i in range(lat.n)] == scan["heights"]
+    assert lat.cover_pairs() == cover_pairs_by_scan(lat)
 
 
 def test_tables_match_scan_oracle_on_generated_lattices():
@@ -196,6 +199,43 @@ def test_orthomodular_golden():
     v = is_orthomodular(lat_of("benzene"))
     assert not v.holds
     assert v.witness == ("b", "bd")
+
+
+def test_lattice_route_and_is_orthomodular_scan_once(count_calls):
+    # is_dacey's lattice route and a later reader of the kept lattice share
+    # one scan
+    scans = count_calls(lattice, "_orthomodular_scan")
+    x = corpus.get("path4").build()
+    via_lattice = is_dacey(x, "lattice")
+    assert is_orthomodular(orthoclosed_lattice(x)) is via_lattice
+    assert not via_lattice.holds
+    assert len(scans) == 1
+
+
+def test_is_orthomodular_projection_facts_and_wilce_scan_once(count_calls):
+    scans = count_calls(lattice, "_orthomodular_scan")
+    lat = corpus.mo_lattice(3)
+    assert is_orthomodular(lat).holds
+    assert all(v.holds for v in projection_facts(lat).values())
+    assert wilce_check(lat).agree
+    assert len(scans) == 1
+
+
+def test_atoms_and_covering_scans_once_and_keeps_the_report(count_calls):
+    scans = count_calls(lattice, "_covering_scan")
+    lat = lat_of("horizontal_sum_lattice")
+    rep = atoms_and_covering(lat)
+    assert atoms_and_covering(lat) is rep
+    assert len(scans) == 1
+
+
+def test_covering_report_is_frozen():
+    # every caller reads the kept report, so none may change it
+    lat = lat_of("horizontal_sum_lattice")
+    rep = atoms_and_covering(lat)
+    with pytest.raises(FrozenInstanceError):
+        rep.covering = rep.atomistic
+    assert not atoms_and_covering(lat).covering.holds
 
 
 def test_covering_golden():

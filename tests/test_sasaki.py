@@ -514,7 +514,7 @@ def test_sasaki_from_oml_under_another_element_order():
 
 
 def test_sasaki_from_oml_scans_orthomodularity_once(count_calls):
-    calls = count_calls(lattice, "is_orthomodular")
+    calls = count_calls(lattice, "_orthomodular_scan")
     lat = corpus.mo_lattice(3)
     x = oml_to_orthoset(lat)
     for i in range(lat.n):
