@@ -13,8 +13,8 @@ Output is deterministic: identical inputs, flags, and seeds produce
 byte-identical stdout.  `--format json` wraps every result in the same
 envelope: tool, command, input, seed, budgets, result.
 
-Exit codes: 0 success, 1 expected-value or property-check mismatch,
-2 invalid input, 3 budget exceeded.
+Exit codes: 0 success, 1 expected-value or property-check mismatch or a
+failed cross-check, 2 invalid input, 3 budget exceeded.
 """
 from __future__ import annotations
 
@@ -22,11 +22,12 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Collection
 from typing import Any, Callable
 
 from . import corpus as corpus_mod
 from .config import BUDGETS, budgets, snapshot
-from .errors import BudgetExceededError, InputError, OrthokitError
+from .errors import BudgetExceededError, CrossCheckError, InputError, OrthokitError
 from .hermitian import (
     format_vector,
     fuzz_hermitian,
@@ -48,8 +49,9 @@ from .lattice import (
     set_label,
     wilce_check,
 )
-from .orthoset import Orthoset, Verdict
+from .orthoset import Orthoset, Verdict, _expect, document_kind
 from .sasaki import (
+    RefutationTrace,
     count_sasaki_maps,
     find_sasaki_map,
     finch_report,
@@ -100,7 +102,7 @@ def _parse_json(raw: str, source: str) -> Any:
     parser is an input error naming `source`."""
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over int's digit limit
         raise InputError(f"invalid JSON in {source}: {exc}") from None
     except RecursionError:
         raise InputError(f"invalid JSON in {source}: nested too deeply") from None
@@ -116,15 +118,6 @@ def _read_doc(path: str) -> Any:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from None
     return _parse_json(raw, repr(path))
-
-
-def _doc_kind(doc: Any) -> str:
-    inner = doc.get("payload", doc) if isinstance(doc, dict) else doc
-    if isinstance(doc, dict) and doc.get("kind") in ("orthoset", "lattice"):
-        return doc["kind"]
-    if isinstance(inner, dict) and "ortho" in inner:
-        return "lattice"
-    return "orthoset"
 
 
 def _orthoset_arg(args: argparse.Namespace) -> Orthoset:
@@ -171,7 +164,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[Any, list[str], int]:
 
 def _cmd_lattice(args: argparse.Namespace) -> tuple[Any, list[str], int]:
     doc = _read_doc(args.file)
-    if _doc_kind(doc) == "lattice":
+    if document_kind(doc) == "lattice":
         lat = build_lattice(doc)
         source = "lattice"
     else:
@@ -224,6 +217,18 @@ def _cmd_lattice(args: argparse.Namespace) -> tuple[Any, list[str], int]:
     return result, lines, 0
 
 
+def _add_refutation(x: Orthoset, ref: RefutationTrace | None,
+                    result: dict[str, Any], lines: list[str]) -> None:
+    """Add a refutation, and the verdict of verify_refutation on it, to a sasaki result."""
+    assert ref is not None
+    result["refutation"] = ref.to_json(x)
+    result["refutation_verified"] = verify_refutation(x, ref)
+    lines.append(
+        f"refutation: {len(ref.entries)} pruned branches, "
+        f"verified={_yesno(result['refutation_verified'])}"
+    )
+
+
 def _cmd_sasaki(args: argparse.Namespace) -> tuple[Any, list[str], int]:
     x = _orthoset_arg(args)
     if args.target is None:
@@ -247,16 +252,9 @@ def _cmd_sasaki(args: argparse.Namespace) -> tuple[Any, list[str], int]:
                     lines.append(f"  {set_label(x, a)}: {json.dumps(table)}")
         else:
             assert verdict.first_failure is not None and verdict.failure is not None
-            ref = verdict.failure.refutation
-            assert ref is not None
             result["first_failure"] = list(x.labels_of(verdict.first_failure))
-            result["refutation"] = ref.to_json(x)
-            result["refutation_verified"] = verify_refutation(x, ref)
             lines.append(f"first failure: {set_label(x, verdict.first_failure)}")
-            lines.append(
-                f"refutation: {len(ref.entries)} pruned branches, "
-                f"verified={_yesno(result['refutation_verified'])}"
-            )
+            _add_refutation(x, verdict.failure.refutation, result, lines)
         return result, lines, 0
     a = x.subset(_split_labels(args.target))
     if args.count:
@@ -287,19 +285,13 @@ def _cmd_sasaki(args: argparse.Namespace) -> tuple[Any, list[str], int]:
         if shortcut is not None:
             lines.append(f"shortcut clause: {shortcut.clause}")
     else:
-        assert v.refutation is not None
-        result["refutation"] = v.refutation.to_json(x)
-        result["refutation_verified"] = verify_refutation(x, v.refutation)
-        lines.append(
-            f"refutation: {len(v.refutation.entries)} pruned branches, "
-            f"verified={_yesno(result['refutation_verified'])}"
-        )
+        _add_refutation(x, v.refutation, result, lines)
     return result, lines, 0
 
 
 def _cmd_oml(args: argparse.Namespace) -> tuple[Any, list[str], int]:
     doc = _read_doc(args.file)
-    if _doc_kind(doc) != "lattice":
+    if document_kind(doc) != "lattice":
         raise InputError("the oml command expects a lattice document")
     lat = build_lattice(doc)
     if args.project is not None:
@@ -382,7 +374,7 @@ def _cmd_hermitian(args: argparse.Namespace) -> tuple[Any, list[str], int]:
         result["perp_basis"] = [format_vector(b) for b in perp.basis]
         lines.append(f"subspace: dim={sub.dim}, perp dim={perp.dim}")
         images = []
-        for entries in doc.get("lines", []):
+        for entries in _expect(doc.get("lines", []), Collection, "'lines' must be a list of vectors"):
             ln = line(space, entries)
             img = sasaki_line(space, sub, ln)
             images.append({
@@ -574,6 +566,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: budget exceeded: {exc}\n")
         return 3
+    except CrossCheckError as exc:
+        sys.stderr.write(f"error: cross-check failed: {exc}\n")
+        return 1
     except OrthokitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -23,6 +23,10 @@ from ..sasaki import is_sasaki_space
 
 _PACKAGE = __name__
 
+# the largest n of the orthoset generators: K2048 takes about 2 s and 550 MB
+# to build, and a much larger n would exhaust the memory before any budget applies
+MAX_ORTHOSET_N = 2048
+
 FIXTURE_NAMES = (
     "benzene",
     "boolean2",
@@ -191,7 +195,8 @@ def random_orthoset(n: int, p: float, seed: int) -> Orthoset:
 
     n and seed must be ints and p an int or a float, never a bool, with the
     texts of generate's parameter checks; p is used as given, not converted,
-    so the rng seed string of every accepted call is its own.
+    so the rng seed string of every accepted call is its own.  n is at most
+    MAX_ORTHOSET_N.
     """
     for kind, key, raw in ((int, "n", n), (float, "p", p), (int, "seed", seed)):
         _number(kind, key, raw)
@@ -199,6 +204,7 @@ def random_orthoset(n: int, p: float, seed: int) -> Orthoset:
         raise InputError("random orthoset needs n >= 0")
     if not 0 <= p <= 1:
         raise InputError("edge probability must lie in [0, 1]")
+    _check_orthoset_n(n)
     rng = random.Random(f"orthoset:{n}:{p}:{seed}")
     labels = [f"x{i + 1}" for i in range(n)]
     pairs = [
@@ -208,6 +214,11 @@ def random_orthoset(n: int, p: float, seed: int) -> Orthoset:
         if rng.random() < p
     ]
     return Orthoset.build(labels, pairs)
+
+
+def _check_orthoset_n(n: int) -> None:
+    if n > MAX_ORTHOSET_N:
+        raise InputError(f"orthoset generators take n <= {MAX_ORTHOSET_N}, got {n}")
 
 
 def _number(kind: type, key: str, raw: Any) -> Any:
@@ -230,6 +241,7 @@ def generate(kind: str, params: Mapping[str, Any], seed: int = 0) -> Orthoset | 
             n = _number(int, "n", params.pop("n"))
             if n < 0:
                 raise InputError(f"generator parameter 'n' must be non-negative, got {n}")
+            _check_orthoset_n(n)
             labels = [f"x{i + 1}" for i in range(n)]
             pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
             out: Orthoset | OrthoLattice = Orthoset.build(labels, pairs)

@@ -1,9 +1,12 @@
 """Exception taxonomy shared across the package.
 
-Two families matter to callers: InputError covers malformed documents and
-precondition violations on user-supplied data (CLI exit code 2), while
+Three families matter to callers: InputError covers malformed documents and
+precondition violations on user-supplied data (CLI exit code 2),
 BudgetExceededError signals that a configured search or enumeration budget
-ran out before an answer was reached (CLI exit code 3).
+ran out before an answer was reached (CLI exit code 3), and CrossCheckError
+signals that an independent check of a computed result disagreed with it
+(CLI exit code 1, a checked verdict failed).  Each document reader checks
+every value it reads, so no document ends in anything but one of these.
 """
 from __future__ import annotations
 
@@ -20,6 +23,11 @@ class InputError(OrthokitError):
 
 class BudgetExceededError(OrthokitError):
     """A configured enumeration or search budget was exhausted."""
+
+
+class CrossCheckError(OrthokitError):
+    """An independent cross-check rejected a computed result: a defect in
+    the computation, not in the input."""
 
 
 class InvalidSubsetError(InputError):

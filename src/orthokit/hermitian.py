@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -43,12 +44,13 @@ from typing import Any, Sequence
 
 from .errors import (
     AnisotropyError,
+    CrossCheckError,
     DimensionMismatchError,
     InputError,
     NotHermitianError,
     ScalarSyntaxError,
 )
-from .orthoset import Orthoset
+from .orthoset import Orthoset, _expect
 
 
 class GaussianRational:
@@ -205,25 +207,31 @@ def _imag_coeff(text: str) -> Fraction:
 
 
 def parse_scalar(text: str, field: str) -> Scalar:
-    """Parse the exact-scalar grammar: '3', '-3/4', '1/2+5/3i', 'i', '-i'."""
+    """Parse the exact-scalar grammar: '3', '-3/4', '1/2+5/3i', 'i', '-i'.
+    A zero denominator, or a part too long for int, is a ScalarSyntaxError."""
     _check_field(field)
     if not isinstance(text, str):
         raise ScalarSyntaxError(f"scalar must be a string, got {text!r}")
     s = text.strip()
-    if field == "Q":
+    try:
+        if field == "Q":
+            m = _RE_RATIONAL.match(s)
+            if not m:
+                raise ScalarSyntaxError(f"not a rational scalar: {text!r}")
+            return Fraction(s)
+        m = _RE_BOTH.match(s)
+        if m:
+            return GaussianRational(Fraction(m.group(1)), _imag_coeff(m.group(2)))
+        m = _RE_IMAG.match(s)
+        if m:
+            return GaussianRational(Fraction(0), _imag_coeff(m.group(1)))
         m = _RE_RATIONAL.match(s)
-        if not m:
-            raise ScalarSyntaxError(f"not a rational scalar: {text!r}")
-        return Fraction(s)
-    m = _RE_BOTH.match(s)
-    if m:
-        return GaussianRational(Fraction(m.group(1)), _imag_coeff(m.group(2)))
-    m = _RE_IMAG.match(s)
-    if m:
-        return GaussianRational(Fraction(0), _imag_coeff(m.group(1)))
-    m = _RE_RATIONAL.match(s)
-    if m:
-        return GaussianRational(Fraction(s), Fraction(0))
+        if m:
+            return GaussianRational(Fraction(s), Fraction(0))
+    except ZeroDivisionError:
+        raise ScalarSyntaxError(f"zero denominator in scalar {text!r}") from None
+    except ValueError as exc:  # int's limit on digits
+        raise ScalarSyntaxError(f"scalar {text!r}: {exc}") from None
     raise ScalarSyntaxError(f"not a Gaussian rational scalar: {text!r}")
 
 
@@ -383,18 +391,15 @@ def make_space(gram: Sequence[Sequence[Any]], field: str) -> HermitianSpace:
     """Validate a gram matrix: star-symmetry plus the positivity certificate.
 
     Entries may be scalar strings, ints, Fractions or GaussianRationals;
-    a float or complex entry is an input error.
+    a float or complex entry is an input error, and so is a gram or a row
+    that is a scalar, not a collection.
     """
     _check_field(field)
-    n = len(gram)
-    if n == 0 or any(len(row) != n for row in gram):
+    n = len(_expect(gram, Collection, "gram must be a list of rows"))
+    if n == 0 or any(len(_expect(row, Collection, "each gram row must be a list of scalars")) != n
+                     for row in gram):
         raise DimensionMismatchError("gram matrix must be square and nonempty")
-    parsed: list[list[Scalar]] = []
-    for row in gram:
-        parsed.append([
-            parse_scalar(v, field) if isinstance(v, str) else _coerce(v, field)
-            for v in row
-        ])
+    parsed = [[_scalar(v, field) for v in row] for row in gram]
     for i in range(n):
         for j in range(n):
             if parsed[j][i] != star(parsed[i][j]):
@@ -403,6 +408,12 @@ def make_space(gram: Sequence[Sequence[Any]], field: str) -> HermitianSpace:
                 )
     _sylvester(parsed, field)
     return HermitianSpace(field, tuple(tuple(row) for row in parsed))
+
+
+def _scalar(value: Any, field: str) -> Scalar:
+    """A document entry as a scalar of the field: a string is parsed, any
+    other value coerced."""
+    return parse_scalar(value, field) if isinstance(value, str) else _coerce(value, field)
 
 
 def _coerce(value: Any, field: str) -> Scalar:
@@ -458,14 +469,11 @@ def _sylvester(gram: list[list[Scalar]], field: str) -> None:
 
 
 def parse_vector(entries: Sequence[Any], space: HermitianSpace) -> Vector:
-    if len(entries) != space.dim:
+    if len(_expect(entries, Collection, "a vector must be a list of scalars")) != space.dim:
         raise DimensionMismatchError(
             f"vector length {len(entries)} does not match dimension {space.dim}"
         )
-    return tuple(
-        parse_scalar(v, space.field) if isinstance(v, str) else _coerce(v, space.field)
-        for v in entries
-    )
+    return tuple(_scalar(v, space.field) for v in entries)
 
 
 def format_vector(vec: Vector) -> list[str]:
@@ -554,6 +562,7 @@ class Subspace:
 
 
 def subspace(space: HermitianSpace, vectors: Sequence[Sequence[Any]]) -> Subspace:
+    _expect(vectors, Collection, "subspace must be a list of vectors")
     parsed = [parse_vector(v, space) for v in vectors]
     reduced, _ = _rref(parsed, space.field)
     return Subspace(space, tuple(tuple(r) for r in reduced))
@@ -684,7 +693,8 @@ def sasaki_line(space: HermitianSpace, sub: Subspace, ln: Line) -> Line:
 
     Route 1 projects the representative; route 2 intersects (line + perp
     of sub) with sub and insists on dimension one.  The routes must agree
-    exactly; a mismatch would falsify the projection formula.
+    exactly; a mismatch would falsify the projection formula and raises
+    CrossCheckError.
     """
     if ln.space != space or sub.space != space:
         raise InputError("line and subspace must live in the given space")
@@ -698,9 +708,10 @@ def sasaki_line(space: HermitianSpace, sub: Subspace, ln: Line) -> Line:
     route1 = _line(space, projected)
     shifted = sum_subspaces(line_subspace(ln), perp_subspace(space, sub))
     meet = intersect_subspaces(shifted, sub)
-    assert meet.dim == 1, f"route 2 produced dimension {meet.dim}, expected 1"
-    route2 = Line(space, meet.basis[0])
-    assert route1.rep == route2.rep, "projection route and subspace route disagree"
+    if meet.dim != 1:
+        raise CrossCheckError(f"route 2 produced dimension {meet.dim}, expected 1")
+    if route1.rep != meet.basis[0]:
+        raise CrossCheckError("projection route and subspace route disagree")
     return route1
 
 
@@ -852,7 +863,7 @@ def fuzz_hermitian(field: str, count: int, seed: int = 0,
                 family.append(candidate)
         images: dict[int, Line] = {}
         for idx, ln in enumerate(family):
-            img = sasaki_line(space, sub, ln)  # route agreement asserted inside
+            img = sasaki_line(space, sub, ln)  # route agreement checked inside
             images[idx] = img
             checks["route_agreement"] += 1
             if contains(sub, ln.rep):

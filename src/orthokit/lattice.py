@@ -26,12 +26,13 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .config import resolve
 from .errors import (
     BudgetExceededError,
+    CrossCheckError,
     InputError,
     LatticeLawError,
     NotOrthomodularError,
 )
-from .orthoset import (Orthoset, Subset, Verdict, _bits, _bound_rows, _first_bijection, _transpose,
-                       first_counterexample)
+from .orthoset import (Orthoset, Subset, Verdict, _bits, _bound_rows, _elements, _expect, _first_bijection,
+                       _label_pairs, _transpose, _unwrap, first_counterexample)
 
 
 def _check_cap(size: int) -> None:
@@ -182,38 +183,23 @@ def build_lattice(doc: Any) -> OrthoLattice:
     `leq` pairs may be covers or any generating relation; the reflexive
     transitive closure is taken.  `ortho` must map every element.
     """
-    if isinstance(doc, dict) and "payload" in doc:
-        if doc.get("kind") not in (None, "lattice"):
-            raise InputError(f"fixture kind {doc.get('kind')!r} is not a lattice")
-        doc = doc["payload"]
-    if not isinstance(doc, dict):
-        raise InputError("lattice document must be a JSON object")
-    elements = doc.get("elements")
-    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
-        raise InputError("'elements' must be a list of strings")
+    doc = _unwrap(doc, "lattice")
+    elements = _elements(doc)
     index = {lab: i for i, lab in enumerate(elements)}
     if len(index) != len(elements):
         raise InputError("duplicate lattice element label")
-    pairs = doc.get("leq")
-    if not isinstance(pairs, list):
-        raise InputError("'leq' must be a list of pairs")
     up = [0] * len(elements)
-    for p in pairs:
-        if not isinstance(p, list) or len(p) != 2 or not all(isinstance(x, str) for x in p):
-            raise InputError(f"leq pair {p!r} must be a two-element list of labels")
-        a, b = p
+    for a, b in _label_pairs(doc, "leq"):
         if a not in index or b not in index:
-            raise InputError(f"leq pair {p!r} mentions an unknown element")
+            raise InputError(f"leq pair {[a, b]!r} mentions an unknown element")
         up[index[a]] |= 1 << index[b]
-    ortho_doc = doc.get("ortho")
-    if not isinstance(ortho_doc, dict):
-        raise InputError("'ortho' must be an object mapping labels to labels")
+    ortho_doc = _expect(doc.get("ortho"), dict, "'ortho' must be an object mapping labels to labels")
     ortho = []
     for lab in elements:
         if lab not in ortho_doc:
             raise InputError(f"orthocomplement missing for element {lab!r}")
         target = ortho_doc[lab]
-        if target not in index:
+        if not isinstance(target, str) or target not in index:
             raise InputError(f"orthocomplement of {lab!r} is unknown element {target!r}")
         ortho.append(index[target])
     return OrthoLattice(elements, up, ortho)
@@ -499,7 +485,9 @@ def find_lattice_iso(a: OrthoLattice, b: OrthoLattice) -> LatticeIso | None:
     if table is None:
         return None
     iso = LatticeIso(tuple(table), a.labels, b.labels)
-    assert check_lattice_iso(a, b, iso.table).holds
+    check = check_lattice_iso(a, b, iso.table)
+    if not check.holds:
+        raise CrossCheckError(f"isomorphism table failed certification: {check.witness!r}")
     return iso
 
 

@@ -15,10 +15,12 @@ on subsets, used everywhere a deterministic enumeration is promised, is
 (cardinality, lexicographic on sorted indices).  Every reader of the
 orthoclosed family goes through Orthoset.closure_table, which enumerates it
 once per orthoset and keeps it as a ClosureTable.  _up_sets, _transpose and
-_bound_rows are the one copy of each order-table step.  Every search here
-(perp-set enumeration, Bron-Kerbosch, and the bijection search under
-is_transitive and the lattice isomorphism search) is a loop on an explicit
-stack, so no recursion limit bounds it.
+_bound_rows are the one copy of each order-table step, and _unwrap,
+_elements, _label_pairs and _expect of each document format check, which
+Orthoset.from_json, build_lattice and the Hermitian readers share.  Every
+search here (perp-set enumeration, Bron-Kerbosch, and the bijection search
+under is_transitive and the lattice isomorphism search) is a loop on an
+explicit stack, so no recursion limit bounds it.
 """
 from __future__ import annotations
 
@@ -76,6 +78,50 @@ def _bound_rows(masks: Sequence[int]) -> list[list[int]]:
 def _mask_key(m: int) -> tuple[int, tuple[int, ...]]:
     """subset_key of the subset a mask stands for."""
     return (m.bit_count(), tuple(_bits(m)))
+
+
+def _expect(value: Any, kind: type | tuple[type, ...], message: str) -> Any:
+    """value, if it is an instance of kind; else an InputError with message."""
+    if not isinstance(value, kind):
+        raise InputError(message)
+    return value
+
+
+def _unwrap(doc: Any, kind: str) -> dict[str, Any]:
+    """The `kind` document, out of its fixture wrapper {"kind", "payload"} if
+    any; another kind's wrapper, or a value that is not an object, is refused."""
+    if isinstance(doc, dict) and "payload" in doc:
+        if doc.get("kind") not in (None, kind):
+            article = "an" if kind == "orthoset" else "a"
+            raise InputError(f"fixture kind {doc.get('kind')!r} is not {article} {kind}")
+        doc = doc["payload"]
+    return _expect(doc, dict, f"{kind} document must be a JSON object")
+
+
+def _elements(doc: dict[str, Any]) -> list[str]:
+    """The document's 'elements', a list of strings."""
+    elements = doc.get("elements")
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise InputError("'elements' must be a list of strings")
+    return elements
+
+
+def _label_pairs(doc: dict[str, Any], key: str) -> Iterator[list[str]]:
+    """The label pairs of the list doc[key], each checked as it is drawn, so a
+    caller checking labels in the same loop refuses the first bad pair of either sort."""
+    for p in _expect(doc.get(key), list, f"'{key}' must be a list of pairs"):
+        if not (isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str)):
+            raise InputError(f"{key} pair {p!r} must be a two-element list of labels")
+        yield p
+
+
+def document_kind(doc: Any) -> str:
+    """"orthoset" or "lattice": the kind a fixture wrapper names, else
+    "lattice" exactly when the document has an 'ortho' key."""
+    if isinstance(doc, dict) and doc.get("kind") in ("orthoset", "lattice"):
+        return doc["kind"]
+    inner = doc.get("payload", doc) if isinstance(doc, dict) else doc
+    return "lattice" if isinstance(inner, dict) and "ortho" in inner else "orthoset"
 
 
 @dataclass(frozen=True)
@@ -210,25 +256,10 @@ class Orthoset:
 
     @classmethod
     def from_json(cls, doc: Any) -> "Orthoset":
-        """Parse the orthoset document format (fixture wrappers accepted)."""
-        if isinstance(doc, dict) and "payload" in doc:
-            if doc.get("kind") not in (None, "orthoset"):
-                raise InputError(f"fixture kind {doc.get('kind')!r} is not an orthoset")
-            doc = doc["payload"]
-        if not isinstance(doc, dict):
-            raise InputError("orthoset document must be a JSON object")
-        elements = doc.get("elements")
-        pairs = doc.get("orthogonal")
-        if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
-            raise InputError("'elements' must be a list of strings")
-        if not isinstance(pairs, list):
-            raise InputError("'orthogonal' must be a list of pairs")
-        checked: list[tuple[str, str]] = []
-        for p in pairs:
-            if not isinstance(p, list) or len(p) != 2 or not all(isinstance(x, str) for x in p):
-                raise InputError(f"orthogonal pair {p!r} must be a two-element list of labels")
-            checked.append((p[0], p[1]))
-        return cls.build(elements, checked)
+        """Parse the orthoset document format (fixture wrappers accepted):
+        every pair's form is checked before any pair's labels."""
+        doc = _unwrap(doc, "orthoset")
+        return cls.build(_elements(doc), list(_label_pairs(doc, "orthogonal")))
 
     def to_json(self, name: str = "orthoset") -> dict[str, Any]:
         """Document form; pairs sorted lexicographically for determinism."""

@@ -27,6 +27,7 @@ from typing import Any, Iterator, Mapping, Sequence
 from .config import resolve
 from .errors import (
     BudgetExceededError,
+    CrossCheckError,
     InputError,
     MapDomainError,
     NotOrthoclosedError,
@@ -421,7 +422,8 @@ def sasaki_from_oml(lat: OrthoLattice, a: Subset, x: Orthoset | None = None) -> 
         table[e] = lat_index_of[p]
     witness = SasakiMapWitness(a, table)
     check = is_sasaki_map(x, a, table)
-    assert check.holds, f"projection table failed certification: {check.witness!r}"
+    if not check.holds:
+        raise CrossCheckError(f"projection table failed certification: {check.witness!r}")
     return witness
 
 

@@ -3,9 +3,12 @@
 # goes through main(argv) in process, so stdout and stderr are captured
 # by pytest's capsys fixture.
 
+import copy
 import io
 import json
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import jsonschema
@@ -638,15 +641,17 @@ def test_corpus_generate_honours_lattice_cap(capsys):
 # --------------------------------------------------------------- hermitian
 
 
+HERMITIAN_DOC = {
+    "field": "Qi",
+    "gram": [["1", "0", "0"], ["0", "2", "i"], ["0", "-i", "2"]],
+    "subspace": [["1", "0", "0"], ["0", "1", "0"]],
+    "lines": [["1", "1", "1"], ["1", "0", "6"]],
+}
+
+
 def test_hermitian_check_document(capsys, tmp_path):
-    doc = {
-        "field": "Qi",
-        "gram": [["1", "0", "0"], ["0", "2", "i"], ["0", "-i", "2"]],
-        "subspace": [["1", "0", "0"], ["0", "1", "0"]],
-        "lines": [["1", "1", "1"], ["1", "0", "6"]],
-    }
     path = tmp_path / "space.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(HERMITIAN_DOC))
     code, out, _ = run(capsys, ["hermitian", "check", str(path), "--format", "json"])
     assert code == 0
     result = envelope_of(out)["result"]
@@ -714,3 +719,74 @@ def test_hermitian_fuzz_non_integer_dims_is_an_input_error(capsys):
 def test_hermitian_fuzz_negative_count_is_an_input_error(capsys):
     code, out, err = run(capsys, ["hermitian", "fuzz", "--field", "Q", "--count", "-3"])
     assert code == 2 and "count" in err and out == ""
+
+
+# ------------------------------------------------------------ no traceback
+
+
+def _with(doc, path, value):
+    """A copy of doc with the value at path, a list of keys and indices,
+    replaced."""
+    doc = copy.deepcopy(doc)
+    reduce(getitem, path[:-1], doc)[path[-1]] = value
+    return doc
+
+
+MO2 = corpus.load("mo2")["payload"]
+RATIONAL_DOC = {"field": "Q", "gram": [["1", "0"], ["0", "2"]], "subspace": [["1", "1"]]}
+HERMITIAN = ["hermitian", "check"]
+HUGE = 2**70
+
+# each of these documents ended in a traceback before it was refused:
+# case, command, document (JSON text if a string, none for a generator)
+# and a part of the one error line
+CRASH_SITES = [
+    ("ortho-list", ["oml"], _with(MO2, ["ortho", "a"], ["b"]), "is unknown element ['b']"),
+    ("ortho-object", ["lattice"], _with(MO2, ["ortho", "a"], {"b": "b'"}), "is unknown element {"),
+    ("gram-true", HERMITIAN, _with(HERMITIAN_DOC, ["gram"], True), "gram must be a list of rows"),
+    ("gram-zero", HERMITIAN, _with(HERMITIAN_DOC, ["gram"], 0), "gram must be a list of rows"),
+    ("gram-row-null", HERMITIAN, _with(HERMITIAN_DOC, ["gram", 1], None), "each gram row must"),
+    ("gram-row-number", HERMITIAN, _with(HERMITIAN_DOC, ["gram", 0], 7), "each gram row must"),
+    ("subspace-number", HERMITIAN, _with(HERMITIAN_DOC, ["subspace"], 5), "subspace must be"),
+    ("subspace-row-number", HERMITIAN, _with(HERMITIAN_DOC, ["subspace", 1], 2), "a vector must be"),
+    ("lines-true", HERMITIAN, _with(HERMITIAN_DOC, ["lines"], True), "'lines' must be"),
+    ("line-number", HERMITIAN, _with(HERMITIAN_DOC, ["lines", 0], 3), "a vector must be"),
+    ("complete-graph-huge-n", ["corpus", "generate", "complete_graph", "--params", json.dumps({"n": HUGE})],
+     None, f"take n <= 2048, got {HUGE}"),
+    ("random-orthoset-huge-n", ["corpus", "generate", "random_orthoset", "--params", json.dumps({"n": HUGE})],
+     None, f"take n <= 2048, got {HUGE}"),
+    # json reads a number of 5,000 digits, or refuses it where int limits digits
+    ("json-huge-number", ["check"], '{"elements": ' + "1" * 5000 + ', "orthogonal": []}', ""),
+] + [
+    (f"zero-denominator-{field}-{where}-{text}", HERMITIAN, _with(doc, [where, 0, 0], text),
+     f"zero denominator in scalar {text!r}")
+    for field, doc, texts in (("Q", RATIONAL_DOC, ("1/0", "0/0")),
+                              ("Qi", HERMITIAN_DOC, ("1/0", "0/0", "1/0+i", "1+1/0i", "1/0i")))
+    for text in texts for where in ("gram", "subspace")
+] + [
+    ("scalar-huge-digits", HERMITIAN, _with(RATIONAL_DOC, ["gram", 0, 0], "1" * 5000), "Exceeds the limit"),
+] * hasattr(sys, "get_int_max_str_digits")
+
+
+@pytest.mark.parametrize("command, doc, text", [case[1:] for case in CRASH_SITES],
+                         ids=[case[0] for case in CRASH_SITES])
+def test_documents_that_crashed_are_refused(capsys, tmp_path, command, doc, text):
+    argv = list(command)
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv.append(str(path))
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and text in err
+
+
+def test_a_failed_cross_check_exits_1(capsys, tmp_path, monkeypatch):
+    # a route 2 that loses its line: one error line, nothing on stdout
+    from orthokit import hermitian
+    monkeypatch.setattr(hermitian, "intersect_subspaces", lambda a, b: hermitian.zero_subspace(b.space))
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(HERMITIAN_DOC))
+    code, out, err = run(capsys, ["hermitian", "check", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: cross-check failed: route 2 produced dimension 0, expected 1\n"

@@ -174,6 +174,8 @@ def test_random_orthoset_is_seed_deterministic():
     ((3.0, 0.5, 0), "generator parameter 'n' must be an integer, got 3.0"),
     ((3, "0.5", 0), "generator parameter 'p' must be a number, got '0.5'"),
     ((3, 0.5, "1"), "generator parameter 'seed' must be an integer, got '1'"),
+    ((2049, 0.5, 0), "orthoset generators take n <= 2048, got 2049"),
+    ((2049, 2, 0), "edge probability must lie in [0, 1]"),
 ])
 def test_random_orthoset_checks_its_own_parameters(args, text):
     with pytest.raises(InputError) as err:
@@ -195,6 +197,8 @@ def test_generate_dispatch_and_errors():
         corpus.generate("boolean", {"n": 2, "extra": 1})
     with pytest.raises(InputError):
         corpus.generate("horizontal_sum", {"ranks": [2]})
+    with pytest.raises(InputError, match=r"take n <= 2048, got 2049"):
+        corpus.generate("complete_graph", {"n": 2049})
 
 
 @pytest.mark.parametrize("kind, params, key", [

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 
 from orthokit import (
     AnisotropyError,
+    CrossCheckError,
     DimensionMismatchError,
     GaussianRational,
     InputError,
@@ -287,6 +288,16 @@ def test_scalar_grammar_rejects_junk():
     for bad in ["", "1+", "i2", "1//2", "1.5", "+", "1 + i", "2i+1", "i+i"]:
         with pytest.raises(ScalarSyntaxError):
             parse_scalar(bad, "Qi")
+
+
+@pytest.mark.parametrize("field, text", [
+    *((field, text) for field in ("Q", "Qi") for text in ("1/0", "0/0", "-3/00")),
+    ("Qi", "1/0+i"), ("Qi", "1+1/0i"), ("Qi", "1/0i"), ("Qi", "2-3/0i"),
+])
+def test_scalar_with_a_zero_denominator_is_a_syntax_error(field, text):
+    with pytest.raises(ScalarSyntaxError) as err:
+        parse_scalar(text, field)
+    assert str(err.value) == f"zero denominator in scalar {text!r}"
 
 
 def test_unknown_field_rejected():
@@ -598,6 +609,21 @@ def test_sasaki_line_rejects_orthogonal_line():
     # every line is orthogonal to the zero subspace
     with pytest.raises(InputError) as err:
         sasaki_line(sp, zero_subspace(sp), line(sp, ["1", "1", "1"]))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("route2, message", [
+    # a route 2 that loses the line, and one that finds another line of s
+    (lambda a, b: zero_subspace(b.space), "route 2 produced dimension 0, expected 1"),
+    (lambda a, b: line_subspace(line(b.space, ["0", "1", "0"])),
+     "projection route and subspace route disagree"),
+])
+def test_sasaki_line_routes_that_disagree_raise_a_cross_check_error(monkeypatch, route2, message):
+    sp = demo_space()
+    s = subspace(sp, [["1", "0", "0"], ["0", "1", "0"]])
+    monkeypatch.setattr(hermitian, "intersect_subspaces", route2)
+    with pytest.raises(CrossCheckError) as err:
+        sasaki_line(sp, s, line(sp, ["1", "1", "1"]))
     assert str(err.value) == message
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from orthokit import (
     BudgetExceededError,
+    CrossCheckError,
     LatticeLawError,
     NotOrthomodularError,
     Orthoset,
@@ -29,7 +30,7 @@ from orthokit import (
     set_label,
     wilce_check,
 )
-from orthokit import config, corpus, lattice
+from orthokit import Verdict, config, corpus, lattice
 
 from oracles import (
     basic_to_basic_by_scan,
@@ -263,6 +264,13 @@ def test_orthoclosed_lattice_of_path4_is_benzene():
     iso = find_lattice_iso(lat, lat_of("benzene"))
     assert iso is not None
     assert check_lattice_iso(lat, lat_of("benzene"), iso.table).holds
+
+
+def test_find_lattice_iso_refuses_a_table_that_fails_certification(monkeypatch):
+    monkeypatch.setattr(lattice, "check_lattice_iso", lambda a, b, table: Verdict(False, witness="w"))
+    with pytest.raises(CrossCheckError) as err:
+        find_lattice_iso(lat_of("benzene"), lat_of("benzene"))
+    assert str(err.value) == "isomorphism table failed certification: 'w'"
 
 
 def test_orthoclosed_lattice_of_horizontal_sum_atoms():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from orthokit import (
     BudgetExceededError,
+    CrossCheckError,
     HypothesisViolation,
     MapDomainError,
     NotOrthoclosedError,
@@ -28,7 +29,7 @@ from orthokit import (
     shortcut_construct,
     verify_refutation,
 )
-from orthokit import config, corpus, lattice
+from orthokit import Verdict, config, corpus, lattice, sasaki
 from orthokit.orthoset import ClosureTable, _bound_rows, _transpose
 from orthokit.sasaki import SasakiMapWitness, _finch_law_failures, _finch_laws
 
@@ -463,6 +464,15 @@ def test_sasaki_from_oml_mo2_golden():
         "target": ["a"],
         "map": {"a": "a", "b": "a", "b'": "a", "1": "a"},
     }
+
+
+def test_sasaki_from_oml_refuses_a_table_that_fails_certification(monkeypatch):
+    lat = corpus.get("mo2").build()
+    x = oml_to_orthoset(lat)
+    monkeypatch.setattr(sasaki, "is_sasaki_map", lambda x, a, table: Verdict(False, witness="w"))
+    with pytest.raises(CrossCheckError) as err:
+        sasaki_from_oml(lat, x.subset(["a"]), x)
+    assert str(err.value) == "projection table failed certification: 'w'"
 
 
 def test_sasaki_from_oml_boolean2_golden():
