@@ -71,8 +71,9 @@ def cases(seed, count):
     """count (argv, document) pairs, a function of seed alone; argv reads
     the document from stdin ("-"), and a generator run reads none."""
     rng = random.Random(seed)
-    subjects = [{k: v for k, v in corpus.load(name).items() if k in ("kind", "payload")}
-                for name in corpus.list_names()] + [dict(HERMITIAN_DOC, kind="hermitian")]
+    fixtures = [corpus.load(name) for name in corpus.list_names()]
+    subjects = [(f["kind"], {"kind": f["kind"], "payload": f["payload"]}) for f in fixtures]
+    subjects.append(("hermitian", HERMITIAN_DOC))
     for _ in range(count):
         if rng.random() < 0.2:
             kind = rng.choice(sorted(GENERATORS))
@@ -81,8 +82,8 @@ def cases(seed, count):
                 params = mutate(params, rng)
             yield ["corpus", "generate", kind, "--params", json.dumps(params)], None
             continue
-        doc = rng.choice(subjects)
-        command = rng.choice(COMMANDS[doc["kind"]])
+        kind, doc = rng.choice(subjects)
+        command = rng.choice(COMMANDS[kind])
         for _ in range(rng.randint(1, 2)):
             doc = mutate(doc, rng)
         yield [*command, "-"], doc
