@@ -22,13 +22,13 @@ import argparse
 import json
 import re
 import sys
-from collections.abc import Collection
 from typing import Any, Callable
 
 from . import corpus as corpus_mod
 from .config import BUDGETS, budgets, snapshot
 from .errors import BudgetExceededError, CrossCheckError, InputError, OrthokitError
 from .hermitian import (
+    _LIST,
     format_vector,
     fuzz_hermitian,
     line,
@@ -374,7 +374,7 @@ def _cmd_hermitian(args: argparse.Namespace) -> tuple[Any, list[str], int]:
         result["perp_basis"] = [format_vector(b) for b in perp.basis]
         lines.append(f"subspace: dim={sub.dim}, perp dim={perp.dim}")
         images = []
-        for entries in _expect(doc.get("lines", []), Collection, "'lines' must be a list of vectors"):
+        for entries in _expect(doc.get("lines", []), _LIST, "'lines' must be a list of vectors"):
             ln = line(space, entries)
             img = sasaki_line(space, sub, ln)
             images.append({

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import random
 import re
-from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -51,6 +50,10 @@ from .errors import (
     ScalarSyntaxError,
 )
 from .orthoset import Orthoset, _expect
+
+# what a document's list may be: a JSON array, or a tuple from a caller; a
+# string or an object is not read as its characters or keys
+_LIST = (list, tuple)
 
 
 class GaussianRational:
@@ -392,11 +395,11 @@ def make_space(gram: Sequence[Sequence[Any]], field: str) -> HermitianSpace:
 
     Entries may be scalar strings, ints, Fractions or GaussianRationals;
     a float or complex entry is an input error, and so is a gram or a row
-    that is a scalar, not a collection.
+    that is not a list or tuple (a scalar, a string or an object).
     """
     _check_field(field)
-    n = len(_expect(gram, Collection, "gram must be a list of rows"))
-    if n == 0 or any(len(_expect(row, Collection, "each gram row must be a list of scalars")) != n
+    n = len(_expect(gram, _LIST, "gram must be a list of rows"))
+    if n == 0 or any(len(_expect(row, _LIST, "each gram row must be a list of scalars")) != n
                      for row in gram):
         raise DimensionMismatchError("gram matrix must be square and nonempty")
     parsed = [[_scalar(v, field) for v in row] for row in gram]
@@ -469,7 +472,7 @@ def _sylvester(gram: list[list[Scalar]], field: str) -> None:
 
 
 def parse_vector(entries: Sequence[Any], space: HermitianSpace) -> Vector:
-    if len(_expect(entries, Collection, "a vector must be a list of scalars")) != space.dim:
+    if len(_expect(entries, _LIST, "a vector must be a list of scalars")) != space.dim:
         raise DimensionMismatchError(
             f"vector length {len(entries)} does not match dimension {space.dim}"
         )
@@ -562,7 +565,7 @@ class Subspace:
 
 
 def subspace(space: HermitianSpace, vectors: Sequence[Sequence[Any]]) -> Subspace:
-    _expect(vectors, Collection, "subspace must be a list of vectors")
+    _expect(vectors, _LIST, "subspace must be a list of vectors")
     parsed = [parse_vector(v, space) for v in vectors]
     reduced, _ = _rref(parsed, space.field)
     return Subspace(space, tuple(tuple(r) for r in reduced))

@@ -5,8 +5,9 @@ transpose, the down-sets); the meet and join tables are their bound rows.
 Construction always validates the full axiom set: poset laws, totality of
 meets and joins, and that the orthocomplement is an order-reversing
 involution satisfying the complement laws.  Each row of Sasaki
-projections, and each of the verdicts is_orthomodular and
-atoms_and_covering, is computed on its first read and kept on the lattice.
+projections, the placement of each orthoset's labels, and each of the
+verdicts is_orthomodular and atoms_and_covering, is computed on its first
+read and kept on the lattice.
 
 Also here: the two bridges between orthosets and ortholattices (elements
 or atoms with x orthogonal to y iff x <= ortho(y), and the lattice of
@@ -43,9 +44,10 @@ def _check_cap(size: int) -> None:
 
 
 class OrthoLattice:
-    """Validated finite ortholattice with meet/join tables; its heights and
-    each row of its Sasaki projections are computed once, on first use, and
-    it keeps the verdicts of is_orthomodular and atoms_and_covering."""
+    """Validated finite ortholattice with meet/join tables; its heights,
+    each row of its Sasaki projections and the placement of each orthoset's
+    labels are computed once, on first use, and it keeps the verdicts of
+    is_orthomodular and atoms_and_covering."""
 
     def __init__(self, labels: Iterable[str], up: Iterable[int], ortho: Iterable[int]):
         self.labels: tuple[str, ...] = tuple(labels)
@@ -109,6 +111,7 @@ class OrthoLattice:
             if self.join(i, self.ortho[i]) != self.top:
                 raise LatticeLawError("x-join-ortho-not-one", self.labels[i])
         self._projections: dict[int, list[int]] = {}
+        self._placements: dict[tuple[str, ...], tuple[list[int], dict[int, int]]] = {}
         self._orthomodular: Verdict | None = None
         self._covering: CoveringReport | None = None
 
@@ -141,6 +144,16 @@ class OrthoLattice:
         if row is None:
             row = self._projections[x] = [sasaki_projection(self, x, y) for y in range(self.n)]
         return row
+
+    def placement(self, labels: tuple[str, ...]) -> tuple[list[int], dict[int, int]]:
+        """The position of each of `labels` here, and the inverse map from
+        such a position to its place in `labels`: built on the first read
+        for a tuple of labels and kept; callers must not modify them."""
+        found = self._placements.get(labels)
+        if found is None:
+            to_lat = [self.index(label) for label in labels]
+            found = self._placements[labels] = (to_lat, {p: e for e, p in enumerate(to_lat)})
+        return found
 
     def covers(self, i: int, j: int) -> bool:
         """j covers i: i < j with nothing strictly between, that is, the
@@ -353,16 +366,18 @@ def _spread(row: Sequence[int], rows: Sequence[int]) -> list[int]:
 
 
 def _self_adjoint_failures(up: Sequence[int], down: Sequence[int], ortho: Sequence[int],
-                           table: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:
+                           table: Sequence[Sequence[int]],
+                           spreads: Sequence[Sequence[int]] | None = None) -> Iterator[tuple[int, int, int]]:
     """Every (x, y, z) where t_x(y) orthogonal to z differs from y orthogonal
     to t_x(z), t_x(y) = table[x][y], scanning x, then y, then z: law (d) of
     the Sasaki projections, and finch's self-adjointness of induced maps.
 
     up[u] (down[u]) has bit v set iff u <= v (v <= u).  u is orthogonal to
     v iff u <= ortho(v), so with below = _spread(table[x], up) the z that
-    break the law for y are the bits of down[ortho[t_x(y)]] ^ below[ortho[y]]."""
+    break the law for y are the bits of down[ortho[t_x(y)]] ^ below[ortho[y]].
+    spreads[x], when given, is that row, from a caller that reads it too."""
     for x, row in enumerate(table):
-        below = _spread(row, up)
+        below = _spread(row, up) if spreads is None else spreads[x]
         for y, v in enumerate(row):
             if diff := down[ortho[v]] ^ below[ortho[y]]:
                 yield from ((x, y, z) for z in _bits(diff))

@@ -75,9 +75,14 @@ def _bound_rows(masks: Sequence[int]) -> list[list[int]]:
     return [[at(mi & mj, -1) for mj in masks] for mi in masks]
 
 
-def _mask_key(m: int) -> tuple[int, tuple[int, ...]]:
-    """subset_key of the subset a mask stands for."""
-    return (m.bit_count(), tuple(_bits(m)))
+_FLIP = str.maketrans("01", "10")
+
+
+def _mask_key(m: int) -> tuple[int, str]:
+    """A key that orders masks as subset_key orders the subsets they stand
+    for: the bits lowest first with 0 and 1 swapped, so that at the first
+    bit where two masks of one size differ, the one holding it sorts first."""
+    return (m.bit_count(), bin(m)[:1:-1].translate(_FLIP))
 
 
 def _expect(value: Any, kind: type | tuple[type, ...], message: str) -> Any:

@@ -20,8 +20,9 @@ order it was recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, islice
-from operator import or_
+from operator import and_, or_
 from typing import Any, Iterator, Mapping, Sequence
 
 from .config import resolve
@@ -401,7 +402,7 @@ def sasaki_from_oml(lat: OrthoLattice, a: Subset, x: Orthoset | None = None) -> 
     if x is None:
         x = oml_to_orthoset(lat)
     am = x._mask(a)
-    to_lat = [lat.index(label) for label in x.labels]
+    to_lat, lat_index_of = lat.placement(x.labels)
     gen = lat.bottom
     for e in a:
         gen = lat.join(gen, to_lat[e])
@@ -411,7 +412,6 @@ def sasaki_from_oml(lat: OrthoLattice, a: Subset, x: Orthoset | None = None) -> 
             f"target {tuple(x.labels_of(a))!r} is not the trace of a principal down-set"
         )
     table: dict[int, int] = {}
-    lat_index_of = {to_lat[e]: e for e in range(x.n)}
     row = lat.projection_row(gen)
     for e in _bits(x._full & ~x._perp(am)):
         p = row[to_lat[e]]
@@ -477,28 +477,30 @@ def _finch_laws(
     """The five law verdicts, first counterexample in lexicographic order of
     family positions.
 
-    `t` is x's closure table.  Each induced value bar[a][b] is one mask
-    closure; the law loops then read rows of bar, of the table and of the
-    transpose and bound rows of its up-sets, since every set they name is a
-    member.
+    `t` is x's closure table.  The induced value bar[a][b] is the closure of
+    the image of b minus perp(a); the perp of that image is the AND of the
+    point perps sent[e] = adj[phi(e)] over e in b (sent[e] is everything off
+    the domain), a member whose own perp, read off the table, is the
+    closure.  So no perp is computed here.  The law loops then
+    read rows of bar, of the table and of the transpose and bound rows of
+    its up-sets, since every set they name is a member.
     """
-    r = range(len(t.sets))
-    perp = t.perp
+    adj, perp, masks, full = x._adj, t.perp, t.masks, x._full
+    closure = dict(zip(masks, perp))  # the perp of an image to its closure
+    members = [list(_bits(m)) for m in masks]
     bar: list[list[int]] = []
-    for a in r:
-        table = witnesses[t.sets[a]].table
-        outside = ~t.masks[perp[a]]
-        # the set of image bits, summed, is the mask of the image
-        bar.append([
-            perp[t.index[x._perp(sum({1 << table[e] for e in _bits(t.masks[b] & outside)}))]]
-            for b in r
-        ])
+    for a in t.sets:
+        # sent[e]: the perp of e's image; full off the domain, so ANDing it is a no-op
+        sent = [full] * x.n
+        for e, v in witnesses[a].table.items():
+            sent[e] = adj[v]
+        bar.append([closure[reduce(and_, map(sent.__getitem__, b), full)] for b in members])
 
     def render(w: tuple[int, ...]) -> tuple[tuple[str, ...], ...]:
         return tuple(x.labels_of(t.sets[i]) for i in w)
 
     failures = _finch_law_failures(
-        t.up, _transpose(t.up, len(r)), perp, _bound_rows(t.up), bar, t.index[x._full])
+        t.up, _transpose(t.up, len(masks)), perp, _bound_rows(t.up), bar, t.index[full])
     return {law: first_counterexample(found, render) for law, found in failures.items()}
 
 
@@ -517,10 +519,22 @@ def _finch_law_failures(
     b and c, perp[b] the perp of b, and top the whole space, all as
     positions; up[b] (down[b]) has bit c set iff b is contained in c (c in
     b).  Monotone and self_adjoint (lattice's law (d) scan) compare one pair
-    of masks per (a, b), and composition and join_preserving one pair of
-    rows per (a, b).
+    of masks per (a, b), and composition one pair of rows per (a, b).
+
+    join_preserving reads join only for a target whose row fails a test of
+    principal preimages (residuation: Blyth and Janowitz 1972).  Let
+    S_s = {b : bar[a][b] within s}, below[a][s], which self_adjoint reads too.  If b -> bar[a][b]
+    preserves joins, it is monotone, so each S_s is a down-set closed under
+    joins, hence empty or the down-set of its join, on a finite lattice.
+    Conversely, if each S_s is empty or principal, then s = bar[a][c] puts c
+    in S_s, so every b within c too, and s = join of bar[a][b] and bar[a][c]
+    puts b and c, so their join too: the map is monotone and sends b join c
+    within the join of the values, which monotonicity makes an equality.
+    A row that passes has no counterexample; a row that fails is scanned
+    one pair of rows per b, so the counterexamples are the scan's.
     """
     r = range(len(bar))
+    below = [_spread(row, up) for row in bar]  # below[a][s]: the b with bar[a][b] within s
 
     def differ(a: int, b: int, lhs: list[int], rhs: Sequence[int]) -> Iterator[tuple[int, ...]]:
         if lhs != rhs:
@@ -542,8 +556,12 @@ def _finch_law_failures(
                     yield from differ(a, b, list(map(row.__getitem__, bar[b])), row)
 
     def join_preserving() -> Iterator[tuple[int, ...]]:
-        # bar[a][join[b][c]] != join[bar[a][b]][bar[a][c]]
+        # bar[a][join[b][c]] != join[bar[a][b]][bar[a][c]], only on a row
+        # with a preimage of a principal down-set that is not principal
+        principal = {0, *down}
         for a, row in enumerate(bar):
+            if principal.issuperset(below[a]):
+                continue
             for b, v in enumerate(row):
                 lhs = list(map(row.__getitem__, join[b]))
                 yield from differ(a, b, lhs, list(map(join[v].__getitem__, row)))
@@ -556,7 +574,7 @@ def _finch_law_failures(
             if not up[bar[a][perp[bar[a][b]]]] >> perp[b] & 1
         ),
         # c within perp(bar[a][b]) differs from bar[a][c] within perp(b)
-        "self_adjoint": _self_adjoint_failures(up, down, perp, bar),
+        "self_adjoint": _self_adjoint_failures(up, down, perp, bar, below),
         "join_preserving": join_preserving(),
     }
 

@@ -782,6 +782,43 @@ def test_documents_that_crashed_are_refused(capsys, tmp_path, command, doc, text
     assert err.startswith("error: ") and err.count("\n") == 1 and text in err
 
 
+# a string or an object where a Hermitian document has a list was read as
+# its characters or keys: case, path, value and the one error line's message
+GRAM, ROW, SUBSPACE, VECTOR, LINES = (
+    "gram must be a list of rows", "each gram row must be a list of scalars",
+    "subspace must be a list of vectors", "a vector must be a list of scalars",
+    "'lines' must be a list of vectors")
+LIST_SITES = [
+    ("gram-string", ["gram"], "1", GRAM),
+    ("gram-object", ["gram"], {"1": 0}, GRAM),
+    ("gram-row-string", ["gram", 0], "100", ROW),
+    ("gram-row-object", ["gram", 0], {"1": 0, "0": 0, "00": 0}, ROW),
+    ("subspace-string", ["subspace"], "100", SUBSPACE),
+    ("subspace-object", ["subspace"], {"100": 0, "010": 0}, SUBSPACE),
+    ("vector-string", ["subspace", 0], "100", VECTOR),
+    ("vector-object", ["subspace", 0], {"1": 0, "0": 0, "00": 0}, VECTOR),
+    ("lines-string", ["lines"], "1", LINES),
+    ("lines-object", ["lines"], {"111": 0}, LINES),
+    ("line-string", ["lines", 0], "111", VECTOR),
+    ("line-object", ["lines", 0], {"1": 0, "11": 0, "111": 0}, VECTOR),
+]
+
+
+@pytest.mark.parametrize("path, value, message", [case[1:] for case in LIST_SITES],
+                         ids=[case[0] for case in LIST_SITES])
+def test_hermitian_strings_and_objects_for_lists_are_refused(capsys, tmp_path, path, value, message):
+    doc = tmp_path / "space.json"
+    doc.write_text(json.dumps(_with(HERMITIAN_DOC, path, value)))
+    assert run(capsys, ["hermitian", "check", str(doc)]) == (2, "", f"error: {message}\n")
+
+
+def test_a_one_dimensional_document_of_strings_and_objects_is_refused(capsys, tmp_path):
+    # read as the space of gram [[1]] with the subspace {1}, exit 0, before
+    doc = tmp_path / "space.json"
+    doc.write_text(json.dumps({"field": "Q", "gram": "1", "subspace": {"1": 0}, "lines": ["1"]}))
+    assert run(capsys, ["hermitian", "check", str(doc)]) == (2, "", f"error: {GRAM}\n")
+
+
 def test_a_failed_cross_check_exits_1(capsys, tmp_path, monkeypatch):
     # a route 2 that loses its line: one error line, nothing on stdout
     from orthokit import hermitian

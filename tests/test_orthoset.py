@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from itertools import permutations
 
@@ -14,7 +15,7 @@ from orthokit import (
     subset_key,
 )
 from orthokit import config, corpus, orthoset
-from orthokit.orthoset import ClosureTable, _bound_rows, _transpose
+from orthokit.orthoset import ClosureTable, _bits, _bound_rows, _mask_key, _transpose
 
 from oracles import (
     automorphism_by_scan,
@@ -144,6 +145,20 @@ def test_family_canonical_order():
     assert [list(x.labels_of(s)) for s in fam] == [
         [], ["b"], ["c"], ["a", "c"], ["b", "d"], ["a", "b", "c", "d"],
     ]
+
+
+def test_mask_key_orders_masks_as_subset_key_orders_their_subsets():
+    """Every subset of 12 elements, and seeded masks 1 to 300 bits wide,
+    many of one size, so that the order within a size is compared too."""
+    rng = random.Random(5)
+    batches = [list(range(1 << 12))]
+    for width in range(1, 301):
+        sizes = [rng.randint(0, width) for _ in range(3)]
+        batches.append([sum(1 << i for i in rng.sample(range(width), size))
+                        for size in sizes for _ in range(8)] + [rng.getrandbits(width) for _ in range(8)])
+    for masks in batches:
+        want = sorted(masks, key=lambda m: subset_key(frozenset(_bits(m))))
+        assert sorted(masks, key=_mask_key) == want
 
 
 @given(orthosets())

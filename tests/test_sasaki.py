@@ -624,21 +624,41 @@ def test_finch_laws_match_scan_oracle_on_corrupted_witnesses():
     assert failed == {"composition", "adjoint_bound", "self_adjoint", "join_preserving"}
 
 
+def finch_tall_spaces():
+    """The points of MO4 and of the horizontal sums of B2 and B3 and of B3
+    and B3: non-distributive families, taller than those of the oracle
+    spaces."""
+    b2, b3 = corpus.boolean_lattice(2), corpus.boolean_lattice(3)
+    return {
+        "mo4": oml_to_orthoset(corpus.mo_lattice(4)),
+        "hs23": oml_to_orthoset(corpus.horizontal_sum(b2, b3)),
+        "hs33": oml_to_orthoset(corpus.horizontal_sum(b3, b3)),
+    }
+
+
+def induced_tables(x):
+    """x's closure table, and bar[a][b], the induced value of the least
+    witness of target a on b, both as family positions, read through the
+    public bar_phi."""
+    space = is_sasaki_space(x)
+    t = x.closure_table()
+    position = {s: i for i, s in enumerate(t.sets)}
+    return t, [[position[bar_phi(x, space.witnesses[a], b)] for b in t.sets] for a in t.sets]
+
+
 def test_finch_law_failures_match_scan_oracle_on_corrupted_bar_tables():
-    """1,200 seeded single-entry corruptions of the induced-value tables of
-    the oracle spaces (read through the public bar_phi), each law's first
-    counterexample compared with the triple loops.  Every law, monotone
-    included, fails on some of them."""
+    """1,800 seeded single-entry corruptions of the induced-value tables of
+    the oracle spaces and the taller ones, each law's first counterexample
+    compared with the triple loops.  Every law, monotone included, fails on
+    some of them, so a row the principal-preimage test passes by mistake
+    shows as a missed join_preserving counterexample."""
     rng = random.Random(13)
     failed = set()
-    for name, x in finch_oracle_spaces().items():
-        space = is_sasaki_space(x)
-        t = x.closure_table()
-        position = {s: i for i, s in enumerate(t.sets)}
+    for name, x in {**finch_oracle_spaces(), **finch_tall_spaces()}.items():
+        t, bar = induced_tables(x)
         r = range(len(t.sets))
-        bar = [[position[bar_phi(x, space.witnesses[a], b)] for b in t.sets] for a in t.sets]
         down, join = _transpose(t.up, len(r)), _bound_rows(t.up)
-        top = position[x.universe]
+        top = t.index[x._full]
         for _ in range(200):
             a, b = rng.choice(r), rng.choice(r)
             corrupt = [row[:] for row in bar]
@@ -650,6 +670,35 @@ def test_finch_law_failures_match_scan_oracle_on_corrupted_bar_tables():
             assert got == want, (name, a, b, corrupt[a][b])
             failed |= {law for law, w in got.items() if w is not None}
     assert failed == {"monotone", "composition", "adjoint_bound", "self_adjoint", "join_preserving"}
+
+
+class _Unread:
+    """A table whose rows must not be read."""
+
+    def __getitem__(self, i):
+        raise AssertionError(f"row {i} was read")
+
+
+def test_finch_law_failures_read_no_join_row_where_the_laws_hold():
+    """Work guard: on induced tables that preserve joins, the principal
+    preimages settle join_preserving, and no law reads a join row."""
+    for name, x in {**finch_oracle_spaces(), **finch_tall_spaces()}.items():
+        t, bar = induced_tables(x)
+        down = _transpose(t.up, len(t.sets))
+        failures = _finch_law_failures(t.up, down, t.perp, _Unread(), bar, t.index[x._full])
+        assert {law: list(found) for law, found in failures.items()} == dict.fromkeys(failures, []), name
+
+
+def test_finch_laws_make_no_perp_call(count_calls):
+    """Work guard: each induced value ANDs the perps of the images, so the
+    laws compute no perp of their own (the parent computed one per pair
+    of family members)."""
+    for name, x in {**finch_oracle_spaces(), **finch_tall_spaces()}.items():
+        space = is_sasaki_space(x)
+        t = x.closure_table()
+        calls = count_calls(Orthoset, "_perp")
+        assert all(v.holds for v in _finch_laws(x, t, space.witnesses).values()), name
+        assert calls == [], name
 
 
 def test_finch_reads_closures_from_the_table(monkeypatch):
