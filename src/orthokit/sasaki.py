@@ -523,9 +523,10 @@ def _finch_law_failures(
 
     join_preserving reads join only for a target whose row fails a test of
     principal preimages (residuation: Blyth and Janowitz 1972).  Let
-    S_s = {b : bar[a][b] within s}, below[a][s], which self_adjoint reads too.  If b -> bar[a][b]
-    preserves joins, it is monotone, so each S_s is a down-set closed under
-    joins, hence empty or the down-set of its join, on a finite lattice.
+    S_s = {b : bar[a][b] within s}, the mask below[a][s], which self_adjoint
+    reads too.  If b -> bar[a][b] preserves joins, it is monotone, so each
+    S_s is a down-set closed under joins, hence empty or the down-set of
+    its join, on a finite lattice.
     Conversely, if each S_s is empty or principal, then s = bar[a][c] puts c
     in S_s, so every b within c too, and s = join of bar[a][b] and bar[a][c]
     puts b and c, so their join too: the map is monotone and sends b join c
@@ -557,7 +558,7 @@ def _finch_law_failures(
 
     def join_preserving() -> Iterator[tuple[int, ...]]:
         # bar[a][join[b][c]] != join[bar[a][b]][bar[a][c]], only on a row
-        # with a preimage of a principal down-set that is not principal
+        # where some preimage of a principal down-set is neither empty nor principal
         principal = {0, *down}
         for a, row in enumerate(bar):
             if principal.issuperset(below[a]):

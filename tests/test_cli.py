@@ -782,8 +782,8 @@ def test_documents_that_crashed_are_refused(capsys, tmp_path, command, doc, text
     assert err.startswith("error: ") and err.count("\n") == 1 and text in err
 
 
-# a string or an object where a Hermitian document has a list was read as
-# its characters or keys: case, path, value and the one error line's message
+# a string or an object where a Hermitian document has a list is refused,
+# not read as its characters or keys: case, path, value and the message
 GRAM, ROW, SUBSPACE, VECTOR, LINES = (
     "gram must be a list of rows", "each gram row must be a list of scalars",
     "subspace must be a list of vectors", "a vector must be a list of scalars",
@@ -813,7 +813,7 @@ def test_hermitian_strings_and_objects_for_lists_are_refused(capsys, tmp_path, p
 
 
 def test_a_one_dimensional_document_of_strings_and_objects_is_refused(capsys, tmp_path):
-    # read as the space of gram [[1]] with the subspace {1}, exit 0, before
+    # read as characters and keys, it would be the gram [[1]] with the subspace {1}
     doc = tmp_path / "space.json"
     doc.write_text(json.dumps({"field": "Q", "gram": "1", "subspace": {"1": 0}, "lines": ["1"]}))
     assert run(capsys, ["hermitian", "check", str(doc)]) == (2, "", f"error: {GRAM}\n")

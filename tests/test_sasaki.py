@@ -691,8 +691,8 @@ def test_finch_law_failures_read_no_join_row_where_the_laws_hold():
 
 def test_finch_laws_make_no_perp_call(count_calls):
     """Work guard: each induced value ANDs the perps of the images, so the
-    laws compute no perp of their own (the parent computed one per pair
-    of family members)."""
+    laws compute no perp of their own (a closure per induced value would
+    make one per pair of family members)."""
     for name, x in {**finch_oracle_spaces(), **finch_tall_spaces()}.items():
         space = is_sasaki_space(x)
         t = x.closure_table()
