@@ -8,9 +8,15 @@ over all ordered pairs of the domain, the diagonal included.
 The witness search is a deterministic backtracking over free domain
 elements in index order with values tried in index order, so the first
 witness found is the lexicographically least; it is one loop on an
-explicit stack, so no recursion limit bounds it.  Before it runs, each free
-element's agreement with the fixed points is looked up once: when some
-free element matches no value of the target (a root wipe-out), no map
+explicit stack, so no recursion limit bounds it.  A value is tested
+against every assigned element at once, by preimage masks: for each value
+v of the target the search keeps the mask of the assigned elements sent
+to v (v itself among them), sets it when a value is taken and undoes it on
+backtrack.  The elements whose image is orthogonal to e are then the OR of
+the masks of the values orthogonal to e, and the clashes of a value are
+one XOR of that mask with the value's row.  Before the search runs, each
+free element's agreement with the fixed points is looked up once: when
+some free element matches no value of the target (a root wipe-out), no map
 exists and the search is skipped.  Nonexistence is certified by a
 replayable refutation trace: an order of the free elements and the pruned
 branches with their violated pairs, one per value of the target on a
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import islice
 from operator import and_, or_
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -162,6 +168,14 @@ class _MapSearch:
     phi(g); the first such g in a, else the first free one, is recorded
     with the pruned branch in `trace`.
 
+    The clash test reads preimage masks: pre[v] holds the assigned g with
+    phi(g) = v (a fixed v holds itself), and `assigned` all of them; both
+    are set when free[k] takes a value and undone when it gives it back.
+    The g with phi(g) orth e are the OR of pre[w] over the w in a
+    orthogonal to e, built once per entry to e's depth at a cost of
+    |adj[e] & a| rather than the depth, and the clashes of v are the bits
+    of (adj[v] & assigned) XOR that mask.
+
     A root wipe-out needs no search: a free e whose signature adj[e] & a is
     the signature of no value v in a clashes with every v at the fixed
     points, so it is moved to the front of `free`, and its |A| tries are
@@ -193,29 +207,35 @@ class _MapSearch:
                 clash = (adj[v] ^ adj[e]) & a
                 trace.append(((v,), (e, (clash & -clash).bit_length() - 1)))
             return
-        # owned[k]: the elements assigned while free[k] is tried
-        owned = list(accumulate((1 << f for f in free), or_, initial=a))
+        # pre[v]: the assigned g with phi(g) = v, a fixed v itself; assigned: all of them
+        pre = [1 << v for v in range(len(adj))]
+        assigned = a
         prefix: list[int] = []  # the values of free[0..k-1]
         tried: list[int] = []  # tried[k]: how many values free[k] has tried
         agree: list[int] = []  # agree[k]: the assigned g with phi(g) orth free[k]
+        nodes, budget = 0, self.budget
         while True:
             k = len(prefix)
             if k == len(free):
+                self.nodes = nodes
                 yield {**{t: t for t in fixed}, **dict(zip(free, prefix))}
             else:
                 e = free[k]
                 if len(tried) == k:
                     tried.append(0)
-                    agree.append(adj[e] & a | sum(1 << g for g, w in zip(free, prefix) if adj[e] >> w & 1))
+                    agree.append(reduce(or_, map(pre.__getitem__, _bits(adj[e] & a)), 0))
                 if tried[k] < len(fixed):
                     v = fixed[tried[k]]
                     tried[k] += 1
-                    self.nodes += 1
-                    if self.nodes > self.budget:
-                        raise BudgetExceededError(f"sasaki search exceeded {self.budget} nodes")
-                    clash = (adj[v] & owned[k]) ^ agree[k]
+                    nodes += 1
+                    if nodes > budget:
+                        self.nodes = nodes
+                        raise BudgetExceededError(f"sasaki search exceeded {budget} nodes")
+                    clash = (adj[v] & assigned) ^ agree[k]
                     if not clash:
                         prefix.append(v)
+                        pre[v] |= 1 << e
+                        assigned |= 1 << e
                     else:
                         first = clash & a or clash
                         trace.append((tuple(prefix) + (v,), (e, (first & -first).bit_length() - 1)))
@@ -224,8 +244,11 @@ class _MapSearch:
                 agree.pop()
             # past a leaf, or past the last value of free[k]: back up
             if not prefix:
+                self.nodes = nodes
                 return
-            prefix.pop()
+            e = free[len(prefix) - 1]
+            pre[prefix.pop()] ^= 1 << e
+            assigned ^= 1 << e
 
 
 def find_sasaki_map(x: Orthoset, a: Subset) -> SasakiVerdict:
@@ -482,8 +505,8 @@ def _finch_laws(
     point perps sent[e] = adj[phi(e)] over e in b (sent[e] is everything off
     the domain), a member whose own perp, read off the table, is the
     closure.  So no perp is computed here.  The law loops then
-    read rows of bar, of the table and of the transpose and bound rows of
-    its up-sets, since every set they name is a member.
+    read rows of bar, of the table and of the transpose of its up-sets, since
+    every set they name is a member.
     """
     adj, perp, masks, full = x._adj, t.perp, t.masks, x._full
     closure = dict(zip(masks, perp))  # the perp of an image to its closure
@@ -499,8 +522,7 @@ def _finch_laws(
     def render(w: tuple[int, ...]) -> tuple[tuple[str, ...], ...]:
         return tuple(x.labels_of(t.sets[i]) for i in w)
 
-    failures = _finch_law_failures(
-        t.up, _transpose(t.up, len(masks)), perp, _bound_rows(t.up), bar, t.index[full])
+    failures = _finch_law_failures(t.up, _transpose(t.up, len(masks)), perp, bar, t.index[full])
     return {law: first_counterexample(found, render) for law, found in failures.items()}
 
 
@@ -508,23 +530,30 @@ def _finch_law_failures(
     up: Sequence[int],
     down: Sequence[int],
     perp: Sequence[int],
-    join: Sequence[Sequence[int]],
     bar: Sequence[Sequence[int]],
     top: int,
 ) -> dict[str, Iterator[tuple[int, ...]]]:
     """Every counterexample of each law, as family positions, in the order
     of a scan over a, then b, then c.
 
-    bar[a][b] is the induced value of target a on b, join[b][c] the join of
-    b and c, perp[b] the perp of b, and top the whole space, all as
-    positions; up[b] (down[b]) has bit c set iff b is contained in c (c in
-    b).  Monotone and self_adjoint (lattice's law (d) scan) compare one pair
-    of masks per (a, b), and composition one pair of rows per (a, b).
+    bar[a][b] is the induced value of target a on b, perp[b] the perp of b,
+    and top the whole space, all as positions; up[b] (down[b]) has bit c set
+    iff b is contained in c (c in b).  Each target's row is spread once over
+    up, below[a][s] = S_s = {b : bar[a][b] within s}, and monotone,
+    self_adjoint (lattice's law (d) scan) and join_preserving all read it.
+    Self_adjoint compares one pair of masks per (a, b), and composition one
+    pair of rows per (a, b).
 
-    join_preserving reads join only for a target whose row fails a test of
-    principal preimages (residuation: Blyth and Janowitz 1972).  Let
-    S_s = {b : bar[a][b] within s}, the mask below[a][s], which self_adjoint
-    reads too.  If b -> bar[a][b] preserves joins, it is monotone, so each
+    Monotone fails at b within c exactly when bar[a][b] is not within
+    bar[a][c], that is, when b is in down[c] but not in below[a][bar[a][c]].
+    So a row has a counterexample iff some c has down[c] & ~below[a][bar[a][c]],
+    one mask test per c.  Only such a row is spread over down and scanned
+    one pair of masks per b, so the counterexamples and their order are the
+    scan's.
+
+    join_preserving builds the join table only at the first target whose
+    row fails a test of principal preimages (residuation: Blyth and
+    Janowitz 1972).  If b -> bar[a][b] preserves joins, it is monotone, so each
     S_s is a down-set closed under joins, hence empty or the down-set of
     its join, on a finite lattice.
     Conversely, if each S_s is empty or principal, then s = bar[a][c] puts c
@@ -543,7 +572,9 @@ def _finch_law_failures(
 
     def monotone() -> Iterator[tuple[int, ...]]:
         # b within c, but bar[a][b] not within bar[a][c]
-        for a, row in enumerate(bar):
+        for a, (row, fits) in enumerate(zip(bar, below)):
+            if not any(down[c] & ~fits[v] for c, v in enumerate(row)):
+                continue
             above = _spread(row, down)  # above[s]: the c with s within row[c]
             for b, v in enumerate(row):
                 if fail := up[b] & ~above[v]:
@@ -560,9 +591,11 @@ def _finch_law_failures(
         # bar[a][join[b][c]] != join[bar[a][b]][bar[a][c]], only on a row
         # where some preimage of a principal down-set is neither empty nor principal
         principal = {0, *down}
+        join: list[list[int]] = []  # join[b][c]: the join of b and c, built on first need
         for a, row in enumerate(bar):
             if principal.issuperset(below[a]):
                 continue
+            join = join or _bound_rows(up)
             for b, v in enumerate(row):
                 lhs = list(map(row.__getitem__, join[b]))
                 yield from differ(a, b, lhs, list(map(join[v].__getitem__, row)))

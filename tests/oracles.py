@@ -194,9 +194,10 @@ def finch_laws_by_scan(x: Orthoset, family: list[Subset], witnesses,
 
 def finch_law_failures_by_scan(up, perp, join, bar, top) -> dict:
     """Every counterexample of each law of finch_report on the tables that
-    sasaki._finch_law_failures reads (family positions throughout, b
-    within c read as up[b] >> c & 1), as the plain loops over pairs and
-    triples that finch_report ran before it compared whole rows."""
+    sasaki._finch_law_failures reads and the join table of the up-sets
+    (family positions throughout, b within c read as up[b] >> c & 1), as
+    the plain loops over pairs and triples that finch_report ran before it
+    compared whole rows."""
     r = range(len(bar))
     return {
         "monotone": (

@@ -4,7 +4,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from orthokit import (
     BudgetExceededError,
@@ -327,6 +327,85 @@ def test_certificates_and_nodes_match_the_golden(p, seed):
     assert (len(rows), refuted, nodes, digest) == SEARCH_GOLDEN[p, seed]
 
 
+def lattice_points():
+    """The points of B4, MO15 and the horizontal sums of B3 and B3 and of B4
+    and B4: Sasaki spaces whose searches prune branches inside the loop."""
+    b3, b4 = corpus.boolean_lattice(3), corpus.boolean_lattice(4)
+    return {
+        "b4": oml_to_orthoset(b4),
+        "mo15": oml_to_orthoset(corpus.mo_lattice(15)),
+        "hs33": oml_to_orthoset(corpus.horizontal_sum(b3, b3)),
+        "hs44": oml_to_orthoset(corpus.horizontal_sum(b4, b4)),
+    }
+
+
+# per space of lattice_points: targets, nodes summed over the targets, the
+# head of the SHA-256 of every (nodes, witness JSON), and that of every
+# count_sasaki_maps(limit=3) list of witness JSONs; recorded from the search
+# that rebuilt each depth's agreement mask from the whole prefix
+LOOP_GOLDEN = {
+    "b4": (16, 248, "08d1bda6984dd5a5", "add300446dd1b958"),
+    "mo15": (32, 870, "f9ef5ba01b6e991e", "c433e654fe549c4e"),
+    "hs33": (14, 198, "170f6ceb543e62f6", "13ca17b8c36a5cb2"),
+    "hs44": (30, 1896, "31530328884c85e6", "75cdd2e384127e01"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_GOLDEN))
+def test_searches_that_enter_the_loop_match_the_golden(name):
+    """SEARCH_GOLDEN's refutations are all root wipe-outs; these searches
+    find every witness in the loop, after pruned branches (none on MO15),
+    and count_sasaki_maps backs up through the whole tree."""
+    x = lattice_points()[name]
+    rows, counts, nodes = [], [], 0
+    for a in x.orthoclosed_family():
+        v = find_sasaki_map(x, a)
+        nodes += v.nodes
+        rows.append([v.nodes, v.witness.to_json(x)])
+        counts.append([m.to_json(x) for m in count_sasaki_maps(x, a, limit=3)])
+    digest = [hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16] for d in (rows, counts)]
+    assert (len(rows), nodes, *digest) == LOOP_GOLDEN[name]
+
+
+def test_loop_search_spends_exactly_its_nodes_of_the_budget():
+    """On the points of B4, target {a, b, ab} has nine free elements that
+    each clash on their first value: 18 nodes to the witness, and 27 for
+    count_sasaki_maps, which backs up through the tree to show that the map
+    is unique.  Each succeeds at exactly its node count and is refused one
+    node short with the search's message."""
+    x = lattice_points()["b4"]
+    a = x.subset(["a", "b", "ab"])
+    for call, spent in ((find_sasaki_map, 18), (count_sasaki_maps, 27)):
+        with config.budgets(nodes=spent):
+            result = call(x, a)
+        with config.budgets(nodes=spent - 1), pytest.raises(BudgetExceededError) as err:
+            call(x, a)
+        assert str(err.value) == f"sasaki search exceeded {spent - 1} nodes"
+    assert result == count_sasaki_maps(x, a) and len(result) == 1
+    v = find_sasaki_map(x, a)
+    assert v.nodes == 18 and len(v.witness.table) == 9 + 3
+
+
+# (n, p, seed) of random_orthoset: targets, Sasaki maps summed over the
+# targets, and the head of the SHA-256 of every target's list of all its
+# maps as witness JSON, recorded from the search that rebuilt each depth's
+# agreement mask from the whole prefix.  Listing every map backs the search
+# up and down again through depths it has left, so bookkeeping that a
+# backtrack fails to undo changes these lists.
+COUNT_GOLDEN = {
+    (11, 0.7, 8): (104, 27, "d5817954d4c25ae2"),
+    (12, 0.5, 3): (30, 84, "4a60190b6e39d86d"),
+}
+
+
+@pytest.mark.parametrize("n, p, seed", sorted(COUNT_GOLDEN))
+def test_every_map_matches_the_golden(n, p, seed):
+    x = corpus.generate("random_orthoset", {"n": n, "p": p}, seed=seed)
+    rows = [[m.to_json(x) for m in count_sasaki_maps(x, a, limit=1000)] for a in x.orthoclosed_family()]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
+    assert (len(rows), sum(map(len, rows)), digest) == COUNT_GOLDEN[n, p, seed]
+
+
 def test_targets_validated_by_the_kept_table_keep_their_errors():
     """Once the family is kept, targets are looked up in it; a set that is
     not orthoclosed is refused with the message of the perp check."""
@@ -387,6 +466,9 @@ def test_count_maps_sees_multiple_on_non_point_closed_space():
 
 
 @given(orthosets(max_n=6))
+# two targets with two maps each, the second found after the search has
+# backed out of a depth and entered it again
+@example(corpus.generate("random_orthoset", {"n": 6, "p": 0.5}, seed=4))
 def test_search_matches_the_scan_oracle(x):
     for a in x.orthoclosed_family():
         maps = sasaki_maps_by_scan(x, a)
@@ -650,10 +732,11 @@ def test_finch_law_failures_match_scan_oracle_on_corrupted_bar_tables():
     """1,800 seeded single-entry corruptions of the induced-value tables of
     the oracle spaces and the taller ones, each law's first counterexample
     compared with the triple loops.  Every law, monotone included, fails on
-    some of them, so a row the principal-preimage test passes by mistake
-    shows as a missed join_preserving counterexample."""
+    some of them, so a row the principal-preimage test or the monotone mask
+    test passes by mistake shows as a missed counterexample.  Some monotone
+    failures lie only in a row after the first, past rows that pass."""
     rng = random.Random(13)
-    failed = set()
+    failed, late_monotone = set(), 0
     for name, x in {**finch_oracle_spaces(), **finch_tall_spaces()}.items():
         t, bar = induced_tables(x)
         r = range(len(t.sets))
@@ -664,29 +747,42 @@ def test_finch_law_failures_match_scan_oracle_on_corrupted_bar_tables():
             corrupt = [row[:] for row in bar]
             corrupt[a][b] = rng.choice([v for v in r if v != bar[a][b]])
             got = {law: next(found, None) for law, found in
-                   _finch_law_failures(t.up, down, t.perp, join, corrupt, top).items()}
+                   _finch_law_failures(t.up, down, t.perp, corrupt, top).items()}
             want = {law: next(found, None) for law, found in
                     finch_law_failures_by_scan(t.up, t.perp, join, corrupt, top).items()}
             assert got == want, (name, a, b, corrupt[a][b])
             failed |= {law for law, w in got.items() if w is not None}
+            late_monotone += got["monotone"] is not None and got["monotone"][0] > 0
     assert failed == {"monotone", "composition", "adjoint_bound", "self_adjoint", "join_preserving"}
+    assert late_monotone > 0
 
 
-class _Unread:
-    """A table whose rows must not be read."""
-
-    def __getitem__(self, i):
-        raise AssertionError(f"row {i} was read")
-
-
-def test_finch_law_failures_read_no_join_row_where_the_laws_hold():
+def test_finch_law_failures_read_no_join_row_where_the_laws_hold(count_calls):
     """Work guard: on induced tables that preserve joins, the principal
-    preimages settle join_preserving, and no law reads a join row."""
+    preimages settle join_preserving, and no law builds the join table."""
+    joins = count_calls(sasaki, "_bound_rows")
     for name, x in {**finch_oracle_spaces(), **finch_tall_spaces()}.items():
         t, bar = induced_tables(x)
         down = _transpose(t.up, len(t.sets))
-        failures = _finch_law_failures(t.up, down, t.perp, _Unread(), bar, t.index[x._full])
+        joins.clear()
+        failures = _finch_law_failures(t.up, down, t.perp, bar, t.index[x._full])
         assert {law: list(found) for law, found in failures.items()} == dict.fromkeys(failures, []), name
+        assert joins == [], name
+
+
+def test_finch_laws_spread_each_row_once_on_a_sasaki_space(count_calls):
+    """Work guard: where the laws hold, _finch_laws spreads each of the F
+    rows of the induced table once over the up-sets, which every law that
+    reads a spread shares, and the monotone mask test spares the spread
+    over the down-sets: F calls of _spread, none of _bound_rows."""
+    spreads, joins = count_calls(lattice, "_spread"), count_calls(sasaki, "_bound_rows")
+    for name, x in {**finch_oracle_spaces(), **finch_tall_spaces()}.items():
+        space = is_sasaki_space(x)
+        t = x.closure_table()
+        spreads.clear()
+        joins.clear()
+        assert all(v.holds for v in _finch_laws(x, t, space.witnesses).values()), name
+        assert (len(spreads), joins) == (len(t.sets), []), name
 
 
 def test_finch_laws_make_no_perp_call(count_calls):
